@@ -464,7 +464,7 @@ def cmd_spectrum(problem, args):
             raise ConfigError("scan_step must be positive")
     coeffs = problem.coefficients()
     ev = build_evaluator(coeffs)
-    opts = ScanOptions(step=step, workers=args.workers)
+    opts = ScanOptions(step=step)
     t0 = time.perf_counter()
     records = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
     dt = time.perf_counter() - t0
@@ -620,7 +620,6 @@ def main(argv=None):
     ap.add_argument("--json", action="store_true", help="validate: machine-readable report")
     ap.add_argument("--lambdas", help="solve: comma-separated spectral parameters")
     ap.add_argument("--c", default="1,0", help="solve: initial value c1,c2")
-    ap.add_argument("--workers", type=int, default=1, help="spectrum: scan workers")
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}

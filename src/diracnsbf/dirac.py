@@ -157,8 +157,12 @@ def free_solution(lam, x):
 
 
 def free_solution_dlambda(lam, x):
-    """d/dlambda of the free solution, closed form."""
-    z = complex(lam) * np.asarray(x, dtype=complex)
+    """d/dlambda of the free solution, closed form.
+
+    lam or x may be an array (not both); the result has the broadcast
+    shape + (2, 2).
+    """
+    z = np.asarray(lam * np.asarray(x), dtype=complex)
     c, s = np.cos(z), np.sin(z)
     x = np.asarray(x)
     out = np.empty(np.shape(z) + (2, 2), dtype=complex)

@@ -30,6 +30,7 @@ __all__ = [
     "IvpSolution",
     "build_evaluator",
     "evaluate_U",
+    "evaluate_U_end",
     "evaluate_U_nodes",
     "evaluate_dU_dlambda",
     "solve_ivp",
@@ -124,13 +125,40 @@ def evaluate_dU_dlambda(ev, lam, x):
         raise ValueError("x outside [0, b]")
     Kt = _coeffs_at(ev, x)
     jn, jz = bessel_pair(lam * x, ev.N + 1)
-    n = np.arange(ev.N + 1)
-    w = np.where(
-        n % 2 == 0,
-        x * (n * jz[: ev.N + 1] - jn[1 : ev.N + 2]),
-        x * (np.concatenate(([0], jn[: ev.N])) - (n + 1) * jz[: ev.N + 1]),
-    )
+    w = _dU_weights(jn, jz, x)
     return free_solution_dlambda(lam, x) + np.einsum("n,nij->ij", w, Kt)
+
+
+def _dU_weights(jn, jz, x):
+    """Per-order weights of dU/dlambda from j_0..j_{N+1} and j_n/z.
+
+    jn and jz have shape (N + 2,) + batch; the weights (N + 1,) + batch.
+    """
+    N = jn.shape[0] - 2
+    n = np.arange(N + 1).reshape((-1,) + (1,) * (jn.ndim - 1))
+    prev = np.concatenate((np.zeros_like(jn[:1]), jn[:N]))
+    return np.where(
+        n % 2 == 0,
+        x * (n * jz[: N + 1] - jn[1 : N + 2]),
+        x * (prev - (n + 1) * jz[: N + 1]),
+    )
+
+
+def evaluate_U_end(ev, lams):
+    """U^N(lambda, b) and dU^N/dlambda(lambda, b) for a 1-D array of lambdas.
+
+    Both come from one batched Bessel pass, since j_n(z) and j_n(z)/z are
+    generated together; each result has shape (len(lams), 2, 2).
+    """
+    lams = np.asarray(lams, dtype=complex)
+    b = ev.b
+    jn, jz = bessel_pair_batch(lams * b, ev.N + 1)
+    Kt = ev.Ktilde[:, -1]
+    U = free_solution(lams, b) + np.einsum("nm,nij->mij", jn[: ev.N + 1], Kt)
+    dU = free_solution_dlambda(lams, b) + np.einsum(
+        "nm,nij->mij", _dU_weights(jn, jz, b), Kt
+    )
+    return U, dU
 
 
 def solve_ivp(ev, lam, c):

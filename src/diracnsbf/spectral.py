@@ -1,23 +1,23 @@
 """Characteristic function, real-line eigenvalue scan, Newton refinement.
 
 For the two-point condition A_left Y(0) + A_right Y(b) = 0 the eigenvalues
-are the zeros of Delta(lambda) = det(A_left + A_right U(lambda, b)); the
-scan samples Delta on a uniform lambda grid, brackets sign changes of its
-real restriction (plus suspicious local minima of |Delta|), refines each
-candidate with a safeguarded Newton iteration driven by the series'
-lambda-derivative, and indexes the surviving roots with index 0 anchored
-at the smallest nonnegative eigenvalue.
+are the zeros of Delta(lambda) = det(A_left + A_right U(lambda, b)).  U and
+dU/dlambda at x = b for any set of lambdas cost one batched Bessel pass.
+The scan samples Delta on a uniform lambda grid and brackets sign changes
+of its real restriction (plus suspicious local minima of |Delta|).  All
+candidates are then refined together by a lockstep safeguarded Newton
+iteration: each round evaluates Delta and its lambda-derivative at every
+root still iterating with one Bessel pass, while bisection fallbacks,
+tolerances and trust radii act per root.  The surviving roots are indexed
+with index 0 anchored at the smallest nonnegative eigenvalue.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac import free_solution
-from .solution import evaluate_dU_dlambda, evaluate_U
-from .special import bessel_pair_batch
+from .solution import evaluate_U_end
 
 __all__ = [
     "BoundaryCondition",
@@ -75,6 +75,17 @@ class BoundaryCondition:
     def is_constant(self):
         return not (callable(self.left) or callable(self.right))
 
+    @property
+    def has_derivative(self):
+        """False when a lambda-dependent block lacks its derivative hook."""
+        return all(
+            not callable(blk) or hook is not None
+            for blk, hook in (
+                (self.left, self.left_deriv),
+                (self.right, self.right_deriv),
+            )
+        )
+
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
@@ -91,59 +102,157 @@ class ScanOptions:
     refine_rtol: float = 1e-13
     max_iter: int = 80
     minimum_ratio: float = 1e-3  # |Delta| local-min bracket threshold
-    workers: int = 1
     dedupe_fraction: float = 0.25
 
 
 def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _delta_and_slope(ev, bc, lams):
+    """Delta and d Delta / d lambda over a 1-D array of lambda.
+
+    U and dU/dlambda at x = b come from one batched Bessel pass; blocks
+    that depend on lambda are evaluated per lambda.  The slope is None
+    when such a block lacks a derivative hook.  d(det M) expands exactly
+    in cofactors for 2x2 matrices (equivalent to Jacobi's formula, with no
+    conditioning caveat at singular M).
+    """
+    lams = np.asarray(lams, dtype=complex)
+    U, dU = evaluate_U_end(ev, lams)
+
+    def stack(get, which):
+        if bc.is_constant:
+            return get(which, 0.0)
+        return np.array([get(which, lam) for lam in lams])
+
+    R = stack(bc.block, "right")
+    M = stack(bc.block, "left") + R @ U
+    if not bc.has_derivative:
+        return _det2(M), None
+    dL, dR = stack(bc.block_deriv, "left"), stack(bc.block_deriv, "right")
+    dM = dL + dR @ U + R @ dU
+    slope = (
+        dM[..., 0, 0] * M[..., 1, 1]
+        + M[..., 0, 0] * dM[..., 1, 1]
+        - dM[..., 0, 1] * M[..., 1, 0]
+        - M[..., 0, 1] * dM[..., 1, 0]
+    )
+    return _det2(M), slope
 
 
 def char_function(ev, bc, lam):
     """Delta(lambda) = det(A_left + A_right U^N(lambda, b))."""
-    M = bc.block("left", lam) + bc.block("right", lam) @ evaluate_U(ev, lam, ev.b)
-    return complex(_det2(M))
+    return complex(char_function_batch(ev, bc, [lam])[0])
 
 
 def char_function_batch(ev, bc, lams):
-    """Vectorized Delta over an array of lambda (constant blocks only)."""
-    lams = np.asarray(lams, dtype=complex)
-    if not bc.is_constant:
-        return np.array([char_function(ev, bc, l) for l in lams])
-    z = lams * ev.b
-    jn, _ = bessel_pair_batch(z, ev.N + 1)
-    Ub = free_solution(lams, ev.b) + np.einsum(
-        "nm,nij->mij", jn[: ev.N + 1], ev.Ktilde[:, -1]
-    )
-    M = bc.block("left", 0.0) + bc.block("right", 0.0) @ Ub
-    return M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    """Vectorized Delta over an array of lambda."""
+    return _delta_and_slope(ev, bc, lams)[0]
 
 
 def char_function_derivative(ev, bc, lam):
     """d Delta / d lambda, or None when a lambda-dependent block lacks
-    a derivative hook.
+    a derivative hook."""
+    slope = _delta_and_slope(ev, bc, [lam])[1]
+    return None if slope is None else complex(slope[0])
 
-    d(det M) expands exactly in cofactors for 2x2 matrices (equivalent to
-    Jacobi's formula, with no conditioning caveat at singular M).
+
+def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
+    """Safeguarded Newton on many roots of Re Delta at once.
+
+    Row k is a bracket [a_k, b_k] whose endpoint values fa_k, fb_k
+    straddle a sign change or, where fa_k is NaN, a bare start a_k that
+    must stay within trust_k of itself (b_k and fb_k are then unused).
+    tol_k NaN selects the default tolerance.  Every round evaluates Delta
+    and its slope at all rows still iterating with one Bessel pass; the
+    safeguards of refine_root act on each row separately.  Returns one
+    EigenvalueRecord (index 0) per row.
     """
-    dL = bc.block_deriv("left", lam)
-    dR = bc.block_deriv("right", lam)
-    if dL is None or dR is None:
-        return None
-    U = evaluate_U(ev, lam, ev.b)
-    dU = evaluate_dU_dlambda(ev, lam, ev.b)
-    M = bc.block("left", lam) + bc.block("right", lam) @ U
-    dM = dL + dR @ U + bc.block("right", lam) @ dU
-    return complex(
-        dM[0, 0] * M[1, 1]
-        + M[0, 0] * dM[1, 1]
-        - dM[0, 1] * M[1, 0]
-        - M[0, 1] * dM[1, 0]
+    a, b, fa, fb, tol, trust = (
+        np.array(v, dtype=float) for v in (a, b, fa, fb, tol, trust)
     )
+    n = len(a)
+    bracketed = ~np.isnan(fa)
+    active = np.ones(n, dtype=bool)
+    out_lam, out_res = np.empty(n), np.empty(n)
+    out_it, out_ok = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
 
+    def finish(rows, at, res, it, ok):
+        out_lam[rows], out_res[rows] = at[rows], res[rows]
+        out_it[rows] = it
+        out_ok[rows] = np.broadcast_to(ok, n)[rows]
+        active[rows] = False
 
-def _delta_real(ev, bc, lam):
-    return char_function(ev, bc, lam).real
+    tol = np.where(
+        np.isnan(tol) & bracketed,
+        1e-13 * np.maximum(np.maximum(np.abs(fa), np.abs(fb)), 1e-300),
+        tol,
+    )
+    at_a = bracketed & (np.abs(fa) <= tol)
+    at_b = bracketed & ~at_a & (np.abs(fb) <= tol)
+    if np.any(bracketed & ~at_a & ~at_b & (np.sign(fa) == np.sign(fb))):
+        raise ValueError("bracket endpoints must straddle a sign change")
+    finish(at_a, a, np.abs(fa), 0, True)
+    finish(at_b, b, np.abs(fb), 0, True)
+
+    lam = np.where(bracketed, 0.5 * (a + b), a)
+    start = lam.copy()
+    f, df = np.full(n, np.nan), np.full(n, np.nan)
+
+    def move_to(new):
+        """Evaluate the active rows at new (one Bessel pass), keep their
+        brackets, and return the step lengths."""
+        rows = active.copy()
+        moved = np.abs(new - lam)
+        lam[rows] = new[rows]
+        delta, slope = _delta_and_slope(ev, bc, lam[rows])
+        f[rows] = delta.real
+        df[rows] = np.nan if slope is None else slope.real
+        lower = rows & bracketed & (np.sign(f) == np.sign(fa))
+        upper = rows & bracketed & ~lower
+        a[lower], fa[lower] = lam[lower], f[lower]
+        b[upper], fb[upper] = lam[upper], f[upper]
+        return moved
+
+    if active.any():
+        move_to(lam)
+    tol = np.where(np.isnan(tol), 1e-13 * np.maximum(1.0, np.abs(f)), tol)
+    best_res, best_lam = np.abs(f), lam.copy()
+    finish(active & (best_res <= tol), lam, best_res, 0, True)
+
+    for it in range(1, max_iter + 1):
+        if not active.any():
+            break
+        new = np.full(n, np.nan)
+        k = active & np.isfinite(df) & (df != 0.0)
+        new[k] = lam[k] - f[k] / df[k]
+        k = active & np.isnan(new) & bracketed & (fb != fa)
+        new[k] = (a[k] * fb[k] - b[k] * fa[k]) / (fb[k] - fa[k])  # false position
+        finish(active & np.isnan(new), best_lam, best_res, max_iter, False)
+        inside = (np.minimum(a, b) < new) & (new < np.maximum(a, b))
+        k = active & bracketed & ~inside
+        new[k] = 0.5 * (a[k] + b[k])
+        far = active & ~bracketed & (np.abs(new - start) > trust)
+        finish(far, best_lam, best_res, it, False)
+        if not active.any():
+            break
+        moved = move_to(new)
+        res = np.abs(f)
+        k = active & (res < best_res)
+        best_res[k], best_lam[k] = res[k], lam[k]
+        finish(active & (res <= tol), lam, res, it, True)
+        # step collapse: at a simple root this is convergence in lambda;
+        # require the residual to at least sit at the double-root scale
+        # of the lambda resolution
+        resolution = 4.0 * np.finfo(float).eps * (1.0 + np.abs(lam))
+        collapse = active & (moved <= resolution)
+        finish(collapse, lam, res, it, res <= 1e4 * tol)
+    finish(active, best_lam, best_res, max_iter, False)
+    return [
+        EigenvalueRecord(0, float(lam_k), float(res_k), int(it_k), bool(ok_k))
+        for lam_k, res_k, it_k, ok_k in zip(out_lam, out_res, out_it, out_ok)
+    ]
 
 
 def refine_root(ev, bc, bracket, tol=None, max_iter=80, trust_radius=None):
@@ -155,107 +264,78 @@ def refine_root(ev, bc, bracket, tol=None, max_iter=80, trust_radius=None):
     converged=False once the iterates leave the trust radius (default
     pi/b, one asymptotic eigenvalue gap) rather than report a far-away
     root.  An endpoint or start already satisfying |Delta| <= tol counts
-    as converged with zero iterations.  Falls back to secant steps when
-    a lambda-dependent block has no derivative hook.
+    as converged with zero iterations.  Falls back to false-position steps
+    when a lambda-dependent block has no derivative hook.  This is the
+    one-row case of the lockstep refinement the scan runs.
     """
-    if trust_radius is None:
-        trust_radius = np.pi / ev.b
-    bracketed = np.ndim(bracket) != 0
-    if bracketed:
-        a, b = (float(np.real(t)) for t in bracket)
-        fa, fb = _delta_real(ev, bc, a), _delta_real(ev, bc, b)
-        scale = max(abs(fa), abs(fb), 1e-300)
-        if tol is None:
-            tol = 1e-13 * scale
-        if abs(fa) <= tol:
-            return EigenvalueRecord(0, a, abs(fa), 0, True)
-        if abs(fb) <= tol:
-            return EigenvalueRecord(0, b, abs(fb), 0, True)
-        if np.sign(fa) == np.sign(fb):
-            raise ValueError("bracket endpoints must straddle a sign change")
-        lam = 0.5 * (a + b)
-        fval = _delta_real(ev, bc, lam)
-        if np.sign(fval) == np.sign(fa):
-            a, fa = lam, fval
-        else:
-            b, fb = lam, fval
+    if np.ndim(bracket) != 0:
+        ends = np.array([float(np.real(t)) for t in bracket])
+        fa, fb = char_function_batch(ev, bc, ends).real
+        row = (ends[0], ends[1], fa, fb)
     else:
-        a = b = fa = fb = None
-        lam = float(np.real(bracket))
-        fval = _delta_real(ev, bc, lam)
-        if tol is None:
-            tol = 1e-13 * max(1.0, abs(fval))
-    start = lam
-    best = (abs(fval), lam)
-    if abs(fval) <= tol:
-        return EigenvalueRecord(0, lam, abs(fval), 0, True)
-    for it in range(1, max_iter + 1):
-        df = char_function_derivative(ev, bc, lam)
-        new = None
-        if df is not None and np.isfinite(df.real) and df.real != 0.0:
-            new = lam - fval / df.real
-        elif bracketed and fb != fa:
-            new = (a * fb - b * fa) / (fb - fa)  # false position
-        if new is None:
-            break
-        if bracketed and not (min(a, b) < new < max(a, b)):
-            new = 0.5 * (a + b)
-        if not bracketed and abs(new - start) > trust_radius:
-            return EigenvalueRecord(0, best[1], best[0], it, False)
-        fnew = _delta_real(ev, bc, new)
-        if bracketed:
-            if np.sign(fnew) == np.sign(fa):
-                a, fa = new, fnew
-            else:
-                b, fb = new, fnew
-        moved = abs(new - lam)
-        lam, fval = new, fnew
-        if abs(fval) < best[0]:
-            best = (abs(fval), lam)
-        if abs(fval) <= tol:
-            return EigenvalueRecord(0, lam, abs(fval), it, True)
-        if moved <= 4.0 * np.finfo(float).eps * (1.0 + abs(lam)):
-            # step collapse: at a simple root this is convergence in
-            # lambda; require the residual to at least sit at the
-            # double-root scale of the lambda resolution
-            converged = abs(fval) <= max(tol, 1e4 * tol)
-            return EigenvalueRecord(0, lam, abs(fval), it, converged)
-    return EigenvalueRecord(0, best[1], best[0], max_iter, False)
+        start = float(np.real(bracket))
+        row = (start, start, np.nan, np.nan)
+    trust = np.pi / ev.b if trust_radius is None else trust_radius
+    tol = np.nan if tol is None else tol
+    return _refine_lockstep(
+        ev, bc, *([v] for v in row), [tol], [trust], max_iter
+    )[0]
 
 
 def _scan_window(ev, bc, lam_min, lam_max, opts):
+    """Refined roots of Re Delta found on the scan grid of the window.
+
+    Sign changes (and exact zeros) of the grid values are refined from
+    their brackets, reusing the endpoint values; a bracketed root that
+    does not converge is kept, flagged, and reported by a RuntimeWarning.
+    Local minima of |Delta| without a sign change (possible even-order
+    roots) get an unbracketed polish, kept only when it converges cleanly
+    inside the window.
+    """
     npts = max(2, int(np.ceil((lam_max - lam_min) / opts.step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
     vals = char_function_batch(ev, bc, grid)
-    roots = []
-    sgn = np.sign(vals.real)
-    for i in range(len(grid) - 1):
-        if sgn[i] == 0.0:
-            roots.append(refine_root(ev, bc, grid[i], max_iter=opts.max_iter))
-        elif sgn[i] != sgn[i + 1]:
-            roots.append(
-                refine_root(
-                    ev, bc, (grid[i], grid[i + 1]), max_iter=opts.max_iter
-                )
-            )
-    # local minima of |Delta| without a sign change: possible even-order
-    # roots; attempt an unbracketed polish and keep only clean converges
+    f = vals.real
+    sgn = np.sign(f)
+    zero = sgn[:-1] == 0.0
+    bra = np.flatnonzero(zero | (sgn[:-1] != sgn[1:]))
+    zero = zero[bra]
     mag = np.abs(vals)
     floor = opts.minimum_ratio * np.median(mag)
     tol_min = opts.refine_rtol * max(float(np.median(mag)), 1e-300)
-    for i in range(1, len(grid) - 1):
-        if mag[i] < mag[i - 1] and mag[i] < mag[i + 1] and mag[i] < floor:
-            if sgn[i - 1] == sgn[i] == sgn[i + 1]:
-                rec = refine_root(
-                    ev,
-                    bc,
-                    grid[i],
-                    tol=tol_min,
-                    max_iter=opts.max_iter,
-                    trust_radius=3.0 * opts.step,
-                )
-                if rec.converged and lam_min <= rec.lam <= lam_max:
-                    roots.append(rec)
+    mid = mag[1:-1]
+    mins = 1 + np.flatnonzero(
+        (mid < mag[:-2])
+        & (mid < mag[2:])
+        & (mid < floor)
+        & (sgn[:-2] == sgn[1:-1])
+        & (sgn[1:-1] == sgn[2:])
+    )
+    nb, m, nan = len(bra), len(mins), np.nan
+    records = _refine_lockstep(
+        ev,
+        bc,
+        a=np.r_[grid[bra], grid[mins]],
+        b=np.r_[grid[bra + 1], grid[mins]],
+        fa=np.r_[np.where(zero, nan, f[bra]), np.full(m, nan)],
+        fb=np.r_[f[bra + 1], np.full(m, nan)],
+        tol=np.r_[np.full(nb, nan), np.full(m, tol_min)],
+        trust=np.r_[np.full(nb, np.pi / ev.b), np.full(m, 3.0 * opts.step)],
+        max_iter=opts.max_iter,
+    )
+    roots = records[:nb]
+    failed = [r.lam for r in roots if not r.converged]
+    if failed:
+        warnings.warn(
+            "%d bracketed root(s) did not converge within %d iterations, kept "
+            "unconverged at lambda = %s"
+            % (len(failed), opts.max_iter, ", ".join("%.15g" % lam for lam in failed)),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    roots += [
+        r for r in records[nb:] if r.converged and lam_min <= r.lam <= lam_max
+    ]
     return roots
 
 
@@ -270,14 +350,7 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
         raise ValueError("need lam_min < lam_max")
     opts = options or ScanOptions()
     if opts.step is None:
-        opts = ScanOptions(
-            step=np.pi / (10.0 * ev.b),
-            refine_rtol=opts.refine_rtol,
-            max_iter=opts.max_iter,
-            minimum_ratio=opts.minimum_ratio,
-            workers=opts.workers,
-            dedupe_fraction=opts.dedupe_fraction,
-        )
+        opts = replace(opts, step=np.pi / (10.0 * ev.b))
     probe = char_function_batch(
         ev, bc, np.linspace(lam_min, lam_max, 101)
     )
@@ -289,21 +362,7 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
             "problem flagged self-adjoint but Delta is complex on the real "
             "axis (|Im|/|Delta| = %.2e)" % (im_level / re_scale)
         )
-    nwin = max(1, int(opts.workers))
-    edges = np.linspace(lam_min, lam_max, nwin + 1)
-    windows = [(edges[i], edges[i + 1]) for i in range(nwin)]
-    if nwin == 1:
-        found = _scan_window(ev, bc, lam_min, lam_max, opts)
-    else:
-        found = []
-        with ThreadPoolExecutor(max_workers=nwin) as pool:
-            futs = [
-                pool.submit(_scan_window, ev, bc, a, b, opts)
-                for a, b in windows
-            ]
-            for fut in futs:
-                found.extend(fut.result())
-    found = [r for r in found if r.converged]
+    found = _scan_window(ev, bc, lam_min, lam_max, opts)
     found.sort(key=lambda r: r.lam)
     merged = []
     for rec in found:

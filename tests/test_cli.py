@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 
+import diracnsbf
 from diracnsbf.cli import main
 
 
@@ -338,10 +339,14 @@ class TestZsIngestion:
 def test_entry_point_smoke(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("p_expr = 0\nq_expr = 0\nM = 50\nN = 2\nout = %s\n" % (tmp_path / "ep"))
+    # the child runs from tmp_path, so the package path must be absolute
+    package_dir = os.path.dirname(os.path.abspath(diracnsbf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
     proc = subprocess.run(
         [sys.executable, "-m", "diracnsbf", "kernel", "--config", str(cfg)],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from diracnsbf.solution import (
     build_evaluator,
     evaluate_dU_dlambda,
     evaluate_U,
+    evaluate_U_end,
     evaluate_U_nodes,
     solve_ivp,
 )
@@ -149,6 +150,17 @@ class TestDerivative:
             evaluate_U(trig_ev, 1e-4, 1.0) - evaluate_U(trig_ev, -1e-4, 1.0)
         ) / 2e-4
         assert np.max(np.abs(dU - fd)) < 1e-6
+
+    def test_batched_end_matches_pointwise(self, trig_ev):
+        # the one-pass (U, dU) at x = b used by the eigenvalue scan against
+        # the single-point evaluators
+        lams = np.array([0.0, 1e-3, -0.4, 2.5, -37.0, 180.0, 3.0 + 1.0j])
+        U, dU = evaluate_U_end(trig_ev, lams)
+        for k, lam in enumerate(lams):
+            ref_U = evaluate_U(trig_ev, lam, trig_ev.b)
+            ref_dU = evaluate_dU_dlambda(trig_ev, lam, trig_ev.b)
+            np.testing.assert_allclose(U[k], ref_U, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dU[k], ref_dU, rtol=0, atol=1e-11)
 
 
 class TestSolveIvp:

@@ -167,15 +167,27 @@ class TestScan:
         assert all(np.isfinite(r.residual) for r in recs)
         assert all(r.converged for r in recs)
 
-    def test_parallel_scan_matches_serial(self, const_ev):
+    def test_lockstep_scan_matches_single_refinement(self, const_ev):
+        # the scan refines every bracket of its grid in lockstep; each
+        # record must equal refine_root run on its bracket alone
         bc = BoundaryCondition.dirichlet()
-        serial = scan_eigenvalues(const_ev, bc, -30.0, 30.0)
-        par = scan_eigenvalues(
-            const_ev, bc, -30.0, 30.0, ScanOptions(workers=4)
-        )
-        assert len(serial) == len(par)
-        for a, b in zip(serial, par):
-            assert abs(a.lam - b.lam) < 1e-12
+        lo, hi, step = -29.9, 30.0, 0.25  # no grid node on the root 0
+        recs = scan_eigenvalues(const_ev, bc, lo, hi, ScanOptions(step=step))
+        grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
+        vals = char_function_batch(const_ev, bc, grid).real
+        brackets = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+        alone = [refine_root(const_ev, bc, (grid[i], grid[i + 1])) for i in brackets]
+        assert len(recs) == len(alone) == 19
+        for rec, ref in zip(recs, alone):
+            assert ref.converged and rec.converged
+            assert abs(rec.lam - ref.lam) <= 1e-12 * max(1.0, abs(ref.lam))
+
+    def test_unconverged_bracket_warns_and_is_kept(self, free_ev):
+        bc = BoundaryCondition.dirichlet()
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            recs = scan_eigenvalues(free_ev, bc, -33.0, 33.0, ScanOptions(max_iter=1))
+        assert [r.index for r in recs] == list(range(-10, 11))
+        assert not all(r.converged for r in recs)
 
     def test_lambda_dependent_blocks_secant_path(self, free_ev):
         # y1(0) = 0, y1(b) + lambda y2(b) = 0: Delta = -sin l + l cos l,
