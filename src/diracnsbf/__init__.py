@@ -53,12 +53,10 @@ from .solution import (
     solve_ivp,
 )
 from .special import (
-    BesselSequence,
     LegendreMonomialTable,
+    bessel_pair_batch,
     legendre_eval,
     legendre_monomial_coeffs,
-    spherical_bessel_over_arg,
-    spherical_bessel_seq,
 )
 from .spectral import (
     BoundaryCondition,

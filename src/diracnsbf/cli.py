@@ -299,7 +299,6 @@ class Problem:
                 potential=self.potential,
                 hom=hom,
                 N=int(data["N"]),
-                theta=data["theta"],
                 K=data["K"],
             )
             print("coefficients: cache hit (%.3fs)" % (time.perf_counter() - t0))
@@ -318,9 +317,7 @@ class Problem:
         else:
             coeffs = build_coefficients(self.potential, hom, self.N)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        np.savez(
-            path, N=coeffs.N, K=coeffs.K, theta=coeffs.theta, U=hom.U, Uinv=hom.Uinv
-        )
+        np.savez(path, N=coeffs.N, K=coeffs.K, U=hom.U, Uinv=hom.Uinv)
         print("coefficients: built in %.3fs" % (time.perf_counter() - t0))
         return coeffs
 
@@ -334,21 +331,17 @@ def _write_csv(path, header, rows):
 
 
 def _write_coeff_csv(path, grid, matrices_by_order, orders):
-    rows = []
-    for n, mats in zip(orders, matrices_by_order):
-        for i, x in enumerate(grid.nodes):
-            m = mats[i]
-            rows.append(
-                ["%d" % n, _fmt(x)]
-                + [
-                    _fmt(v)
-                    for entry in (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-                    for v in (entry.real, entry.imag)
-                ]
-            )
-    _write_csv(
-        path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", rows
+    rows = (
+        ["%d" % n, _fmt(x)]
+        + [
+            _fmt(v)
+            for entry in (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+            for v in (entry.real, entry.imag)
+        ]
+        for n, mats in zip(orders, matrices_by_order)
+        for x, m in zip(grid.nodes, mats)
     )
+    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", rows)
 
 
 def cmd_kernel(problem, args):
@@ -415,8 +408,6 @@ def _parse_lambdas(text):
 
 
 def cmd_solve(problem, args):
-    from .dirac import dirac_residual_nodes
-
     lams = _parse_lambdas(args.lambdas)
     c = _parse_block_vector(args.c)
     coeffs = problem.coefficients()
@@ -424,18 +415,17 @@ def cmd_solve(problem, args):
     t0 = time.perf_counter()
     for k, lam in enumerate(lams):
         sol = solve_ivp(ev, lam, c)
-        resid = dirac_residual_nodes(sol.Y, problem.potential, lam)
-        rows = [
+        rows = (
             [
                 _fmt(x),
                 _fmt(sol.Y[i, 0].real),
                 _fmt(sol.Y[i, 0].imag),
                 _fmt(sol.Y[i, 1].real),
                 _fmt(sol.Y[i, 1].imag),
-                _fmt(resid[i]),
+                _fmt(sol.residual_nodes[i]),
             ]
             for i, x in enumerate(problem.grid.nodes)
-        ]
+        )
         path = "%s_solution_%03d.csv" % (problem.out, k)
         _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", rows)
     dt = time.perf_counter() - t0

@@ -6,8 +6,7 @@ shape (M + 1, 2, 2).  This module supplies the numerical substrate: an
 indefinite integral built from a composite 6-point Newton-Cotes rule
 (block size 5, exact for polynomials up to degree 5, observed order 6 on
 smooth integrands), a 6-point finite-difference derivative, local cubic
-interpolation, and the small pointwise-algebra helpers that keep grid
-compatibility checked in one place.
+interpolation, and the per-node scaling and grid-compatibility checks.
 """
 
 from dataclasses import dataclass
@@ -22,9 +21,6 @@ __all__ = [
     "indefinite_integral",
     "indefinite_integral_weighted",
     "differentiate",
-    "linear_combine",
-    "matmul_left",
-    "matmul_right",
     "scale_by_nodes",
     "cubic_interp",
     "check_same_grid",
@@ -80,29 +76,35 @@ def check_same_grid(grid, *values):
             )
 
 
-def _partial_weights():
-    # W[k, j] = integral over [0, k] of the Lagrange basis polynomial
-    # through nodes 0..5, in units of h; row 5 is the classical 6-point
-    # closed Newton-Cotes rule.
-    weights = np.zeros((BLOCK + 1, BLOCK + 1))
+def _lagrange_rows():
+    # Exact monomial coefficients (in the block variable s, units of h) of
+    # the Lagrange basis polynomials through nodes 0..5, one row per node.
+    rows = []
     for j in range(BLOCK + 1):
         poly = [Fraction(1)]
-        denom = Fraction(1)
         for m in range(BLOCK + 1):
-            if m == j:
-                continue
-            poly = [Fraction(0)] + poly  # multiply by s
-            for i in range(len(poly) - 1):
-                poly[i] -= m * poly[i + 1]
-            denom *= j - m
-        anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(poly)]
-        for k in range(1, BLOCK + 1):
-            val = sum(c * Fraction(k) ** i for i, c in enumerate(anti))
-            weights[k, j] = float(val / denom)
-    return weights
+            if m != j:
+                # multiply by (s - m) / (j - m)
+                lower = [Fraction(0)] + poly
+                poly = [(lo - m * c) / (j - m) for lo, c in zip(lower, poly + [0])]
+        rows.append(poly)
+    return rows
 
 
-_W = _partial_weights()
+_ROWS = _lagrange_rows()
+# _LAGRANGE[j, i]: coefficient of s^i in basis polynomial j.
+_LAGRANGE = np.array([[float(c) for c in row] for row in _ROWS])
+# _W[k, j]: integral over [0, k] of basis polynomial j; row 5 is the
+# classical 6-point closed Newton-Cotes rule.
+_W = np.array(
+    [
+        [
+            float(sum(c * Fraction(k) ** (i + 1) / (i + 1) for i, c in enumerate(row)))
+            for row in _ROWS
+        ]
+        for k in range(BLOCK + 1)
+    ]
+)
 
 
 def indefinite_integral(grid, f):
@@ -128,25 +130,6 @@ def indefinite_integral(grid, f):
     return out
 
 
-def _lagrange_basis_matrix():
-    # rows: basis index j; columns: monomial powers of the block variable
-    coeffs = np.zeros((BLOCK + 1, BLOCK + 1))
-    for j in range(BLOCK + 1):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for m in range(BLOCK + 1):
-            if m == j:
-                continue
-            poly = [Fraction(0)] + poly
-            for i in range(len(poly) - 1):
-                poly[i] -= m * poly[i + 1]
-            denom *= j - m
-        for i, c in enumerate(poly):
-            coeffs[j, i] = float(c / denom)
-    return coeffs
-
-
-_LAGRANGE = _lagrange_basis_matrix()
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(40)
 
 
@@ -242,41 +225,6 @@ def differentiate(grid, f):
     for i in (n - 3, n - 2, n - 1):
         out[i] = np.tensordot(_D_EDGE[6 - (n - i)], f[-6:], axes=(0, 0))
     return out / grid.h
-
-
-def linear_combine(coeffs, fns):
-    """sum_k coeffs[k] * fns[k], all on one grid."""
-    if len(coeffs) != len(fns):
-        raise ValueError("coefficient/function count mismatch")
-    it = iter(zip(coeffs, fns))
-    c0, f0 = next(it)
-    out = c0 * np.asarray(f0, dtype=complex)
-    for c, f in it:
-        if np.shape(f)[0] != np.shape(f0)[0]:
-            raise GridMismatchError("operands on different grids")
-        out = out + c * np.asarray(f)
-    return out
-
-
-def matmul_left(factor, f):
-    """Per-node left multiplication factor @ f(x_i).
-
-    factor is a single (2, 2) matrix or one per node.
-    """
-    factor = np.asarray(factor)
-    f = np.asarray(f)
-    if factor.ndim == 3 and factor.shape[0] != f.shape[0]:
-        raise GridMismatchError("matrix factor on a different grid")
-    return factor @ f
-
-
-def matmul_right(f, factor):
-    """Per-node right multiplication f(x_i) @ factor."""
-    factor = np.asarray(factor)
-    f = np.asarray(f)
-    if factor.ndim == 3 and factor.shape[0] != f.shape[0]:
-        raise GridMismatchError("matrix factor on a different grid")
-    return f @ factor
 
 
 def scale_by_nodes(scalars, f):

@@ -64,16 +64,15 @@ _SANITIZE_CAP = 8  # never cut more than M / _SANITIZE_CAP cells
 
 @dataclass(frozen=True)
 class KernelCoefficients:
-    """theta_n and C_n = theta_n / x^n for n = -1..N on one grid.
+    """C_n for n = -1..N on one grid; theta_n = x^n C_n is derived on demand.
 
-    Arrays are indexed with an offset of one: row k holds order n = k - 1.
+    K is indexed with an offset of one: row k holds order n = k - 1.
     """
 
     grid: object
     potential: object
     hom: object
     N: int
-    theta: np.ndarray
     K: np.ndarray
 
     def _row(self, n):
@@ -82,7 +81,19 @@ class KernelCoefficients:
         return n + 1
 
     def theta_n(self, n):
-        return self.theta[self._row(n)]
+        """theta_n(x) sampled on the grid.
+
+        theta_-1 = -C_0 / x, with the forced limit -B Q(0) / 2 at x = 0
+        that follows from U(0, x) = I + B Q(0) x + O(x^2).
+        """
+        row = self.K[self._row(n)]
+        x = self.grid.nodes
+        if n >= 0:
+            return scale_by_nodes(x**n, row)
+        out = np.empty_like(row)
+        out[1:] = -self.K[1][1:] / x[1:, None, None]
+        out[0] = -0.5 * (B_MAT @ self.potential.matrices[0])
+        return out
 
     def coeff(self, n):
         """C_n(x) sampled on the grid."""
@@ -153,7 +164,7 @@ def _apply_guard(grid, Kn):
 
 
 def build_coefficients(Q, hom, N):
-    """theta_-1..theta_N and C_-1..C_N by the recursive procedure.
+    """C_-1..C_N by the recursive procedure.
 
     hom must be the fundamental solution built from Q.  The recursion is
     advanced in the C_n variables with the x^n weight moved inside the
@@ -219,21 +230,11 @@ def _finalize(Q, hom, N, K):
             "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
             % (N, Q.grid.M)
         )
-    grid = Q.grid
-    x = grid.nodes
     Kg = K.copy()
-    theta = np.empty_like(K)
     for n in range(1, N + 1):
-        Kg[n + 1] = _apply_guard(grid, K[n + 1])
+        Kg[n + 1] = _apply_guard(Q.grid, K[n + 1])
         Kg[n + 1][0] = 0.0
-    theta[1] = Kg[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta[0][1:] = -Kg[1][1:] / x[1:, None, None]
-    # forced limit at 0 from U(0, x) = I + B Q(0) x + O(x^2)
-    theta[0][0] = -0.5 * (B_MAT @ Q.matrices[0])
-    for n in range(1, N + 1):
-        theta[n + 1] = scale_by_nodes(x**n, Kg[n + 1])
-    return KernelCoefficients(grid=grid, potential=Q, hom=hom, N=N, theta=theta, K=Kg)
+    return KernelCoefficients(grid=Q.grid, potential=Q, hom=hom, N=N, K=Kg)
 
 
 def kernel_eval(coeffs, x, t):
@@ -317,7 +318,6 @@ def _truncate(coeffs, N):
         potential=coeffs.potential,
         hom=coeffs.hom,
         N=N,
-        theta=coeffs.theta[: N + 2].copy(),
         K=coeffs.K[: N + 2].copy(),
     )
 

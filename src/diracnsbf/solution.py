@@ -18,12 +18,12 @@ import numpy as np
 
 from .dirac import (
     B_MAT,
-    dirac_residual,
+    dirac_residual_nodes,
     free_solution,
     free_solution_dlambda,
 )
 from .grid import cubic_interp
-from .special import bessel_pair, bessel_pair_batch
+from .special import bessel_pair_batch
 
 __all__ = [
     "NsbfEvaluator",
@@ -64,7 +64,12 @@ class IvpSolution:
     lam: complex
     c: np.ndarray
     Y: np.ndarray
-    residual: float
+    residual_nodes: np.ndarray  # per-node norm of B Y' + Q Y - lambda Y
+
+    @property
+    def residual(self):
+        """Max interior-node residual norm."""
+        return float(np.max(self.residual_nodes[1:-1]))
 
 
 def build_evaluator(coeffs):
@@ -92,14 +97,50 @@ def _coeffs_at(ev, x):
     return vals
 
 
-def evaluate_U(ev, lam, x):
-    """U^N(lambda, x) at a single point, 0 <= x <= b."""
+def _point_values(ev, lams, x):
+    """U^N(lambda, x) and dU^N/dlambda(lambda, x) for a 1-D array of lambdas.
+
+    Both come from one batched Bessel pass, since j_n(z) and j_n(z)/z are
+    generated together.  Per order the derivative weights are
+        even n:  x (n j_n(z)/z - j_{n+1}(z))
+        odd n:   x (j_{n-1}(z) - (n+1) j_n(z)/z)
+    with z = lambda x; the j_n(z)/z factors are exact at z = 0, so the
+    apparent 1/lambda singularity never materializes.  Each result has
+    shape (len(lams), 2, 2).
+    """
     x = float(x)
     if not 0.0 <= x <= ev.b * (1 + 1e-12):
         raise ValueError("x outside [0, b]")
+    lams = np.asarray(lams, dtype=complex)
     Kt = _coeffs_at(ev, x)
-    jn, _ = bessel_pair(lam * x, ev.N + 1)
-    return free_solution(lam, x) + np.einsum("n,nij->ij", jn[: ev.N + 1], Kt)
+    N = ev.N
+    jn, jz = bessel_pair_batch(lams * x, N + 1)
+    n = np.arange(N + 1)[:, None]
+    prev = np.concatenate((np.zeros_like(jn[:1]), jn[:N]))
+    w = np.where(
+        n % 2 == 0,
+        x * (n * jz[: N + 1] - jn[1 : N + 2]),
+        x * (prev - (n + 1) * jz[: N + 1]),
+    )
+    U = free_solution(lams, x) + np.einsum("nm,nij->mij", jn[: N + 1], Kt)
+    dU = free_solution_dlambda(lams, x) + np.einsum("nm,nij->mij", w, Kt)
+    return U, dU
+
+
+def evaluate_U(ev, lam, x):
+    """U^N(lambda, x) at a single point, 0 <= x <= b."""
+    return _point_values(ev, [lam], x)[0][0]
+
+
+def evaluate_dU_dlambda(ev, lam, x):
+    """d/dlambda of U^N(lambda, x) at a single point, finite at lambda = 0."""
+    return _point_values(ev, [lam], x)[1][0]
+
+
+def evaluate_U_end(ev, lams):
+    """U^N(lambda, b) and dU^N/dlambda(lambda, b) for a 1-D array of lambdas,
+    from one batched Bessel pass; each has shape (len(lams), 2, 2)."""
+    return _point_values(ev, lams, ev.b)
 
 
 def evaluate_U_nodes(ev, lam):
@@ -111,60 +152,10 @@ def evaluate_U_nodes(ev, lam):
     return out
 
 
-def evaluate_dU_dlambda(ev, lam, x):
-    """d/dlambda of U^N(lambda, x), finite at lambda = 0.
-
-    Per order the derivative weights are
-        even n:  x (n j_n(z)/z - j_{n+1}(z))
-        odd n:   x (j_{n-1}(z) - (n+1) j_n(z)/z)
-    with z = lambda x; the j_n(z)/z factors come from the dedicated
-    primitive, so the apparent 1/lambda singularity never materializes.
-    """
-    x = float(x)
-    if not 0.0 <= x <= ev.b * (1 + 1e-12):
-        raise ValueError("x outside [0, b]")
-    Kt = _coeffs_at(ev, x)
-    jn, jz = bessel_pair(lam * x, ev.N + 1)
-    w = _dU_weights(jn, jz, x)
-    return free_solution_dlambda(lam, x) + np.einsum("n,nij->ij", w, Kt)
-
-
-def _dU_weights(jn, jz, x):
-    """Per-order weights of dU/dlambda from j_0..j_{N+1} and j_n/z.
-
-    jn and jz have shape (N + 2,) + batch; the weights (N + 1,) + batch.
-    """
-    N = jn.shape[0] - 2
-    n = np.arange(N + 1).reshape((-1,) + (1,) * (jn.ndim - 1))
-    prev = np.concatenate((np.zeros_like(jn[:1]), jn[:N]))
-    return np.where(
-        n % 2 == 0,
-        x * (n * jz[: N + 1] - jn[1 : N + 2]),
-        x * (prev - (n + 1) * jz[: N + 1]),
-    )
-
-
-def evaluate_U_end(ev, lams):
-    """U^N(lambda, b) and dU^N/dlambda(lambda, b) for a 1-D array of lambdas.
-
-    Both come from one batched Bessel pass, since j_n(z) and j_n(z)/z are
-    generated together; each result has shape (len(lams), 2, 2).
-    """
-    lams = np.asarray(lams, dtype=complex)
-    b = ev.b
-    jn, jz = bessel_pair_batch(lams * b, ev.N + 1)
-    Kt = ev.Ktilde[:, -1]
-    U = free_solution(lams, b) + np.einsum("nm,nij->mij", jn[: ev.N + 1], Kt)
-    dU = free_solution_dlambda(lams, b) + np.einsum(
-        "nm,nij->mij", _dU_weights(jn, jz, b), Kt
-    )
-    return U, dU
-
-
 def solve_ivp(ev, lam, c):
     """Initial-value solution Y(lambda, x_i) = U^N(lambda, x_i) c."""
     c = np.asarray(c, dtype=complex).reshape(2)
     U = evaluate_U_nodes(ev, lam)
     Y = U @ c
-    resid = dirac_residual(Y, ev.coeffs.potential, lam)
-    return IvpSolution(lam=complex(lam), c=c, Y=Y, residual=resid)
+    resid = dirac_residual_nodes(Y, ev.coeffs.potential, lam)
+    return IvpSolution(lam=complex(lam), c=c, Y=Y, residual_nodes=resid)

@@ -5,13 +5,18 @@ Bessel functions j_n(z) for complex z (the argument is lambda*x, so both
 tiny and large moduli occur in one sweep) and Legendre polynomials P_n(s)
 on [-1, 1], both as point values and as monomial coefficient tables.
 
-Spherical Bessel values are generated by downward (Miller) recurrence,
-which is stable for orders above |z| where the upward recurrence loses all
-digits.  The raw downward sequence is normalized against a closed form;
-below a small-|z| cutoff a truncated Maclaurin series per order is used
-instead.  A dedicated j_n(z)/z family removes the 1/lambda factors of the
-derivative series analytically, so lambda = 0 needs no special casing by
-callers.
+All spherical Bessel values come from one engine, `bessel_pair_batch`,
+which returns j_n(z) and j_n(z)/z together so that the 1/lambda factors
+of the derivative series cancel analytically and lambda = 0 needs no
+special casing by callers.  Each argument takes one of three routes:
+
+- |z| < 0.5: a truncated Maclaurin series per order.
+- essentially real z with |z| >= 4 and n_max <= 0.75 |z|: upward
+  recurrence from the closed forms of j_0 and j_1, which is stable below
+  the turning point n ~ |z|.
+- everything else: downward (Miller) recurrence, normalized against a
+  closed form, followed by the upward pass on the orders n <= 0.75 |z|
+  of the essentially real arguments.
 """
 
 from dataclasses import dataclass
@@ -20,11 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "BesselSequence",
     "LegendreMonomialTable",
-    "spherical_bessel_seq",
-    "spherical_bessel_over_arg",
-    "bessel_pair",
     "bessel_pair_batch",
     "legendre_eval",
     "legendre_seq",
@@ -32,34 +33,17 @@ __all__ = [
     "LEGENDRE_DEGREE_CAP",
 ]
 
-# Miller recurrence starts this many orders above n_max (plus ceil|z|).
-_MILLER_PAD = 20
-# spherical_bessel_seq switches to the Maclaurin series below this |z|.
-_SEQ_SERIES_CUTOFF = 1e-4
-# bessel_pair (the series evaluator's workhorse) switches earlier: the
-# series is cheap and removes any division-by-small-z concern wholesale.
-_PAIR_SERIES_CUTOFF = 0.5
+# Below this |z| the Maclaurin series replaces the recurrences.
+_SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 16
+# Miller starts _MILLER_PAD orders above n_max + |z|, plus a margin that
+# covers the turning-point region of width ~|z|^(1/3).
+_MILLER_PAD = 20
 # Exact powers of two so rescaling during the downward pass is lossless.
 _RESCALE_LIMIT = 2.0**830
 _RESCALE_FACTOR = 2.0**-832
 
 LEGENDRE_DEGREE_CAP = 64
-
-
-@dataclass(frozen=True)
-class BesselSequence:
-    """Values j_0(z)..j_{n_max}(z) for one complex argument."""
-
-    argument: complex
-    values: np.ndarray
-
-
-def _check_argument(z):
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError("non-finite Bessel argument: %r" % (z,))
-    return z
 
 
 def _series_pair(z, n_max):
@@ -71,7 +55,6 @@ def _series_pair(z, n_max):
     the /z family is j_0(z)/z where z != 0 and 0 at z = 0 (no caller ever
     multiplies it by a nonzero weight there).
     """
-    z = np.asarray(z, dtype=complex)
     half_z2 = 0.5 * z * z
     jn = np.empty((n_max + 1,) + z.shape, dtype=complex)
     jz = np.empty_like(jn)
@@ -98,138 +81,108 @@ def _series_pair(z, n_max):
     return jn, jz
 
 
-def _miller_jn(z, n_max):
-    """Spherical Bessel j_0..j_{n_max} for a batch of arguments.
+def _recurrence_jn(z, n_max):
+    """j_0..j_{n_max} for arguments with |z| >= the series cutoff.
 
-    Downward recurrence: seeds an arbitrary tail at order
-    n_max + pad + ceil|z| and recurses j_{n-1} = (2n+1)/z j_n - j_{n+1}
-    down to 0, rescaling by an exact power of two whenever the carries
-    grow, then normalizes against the closed form j_0 = sin(z)/z.  Near
-    zeros of sin the normalization switches to j_1 = (sin z - z cos z)/z^2,
-    whichever closed form is larger in modulus; normalizing against a
-    near-vanishing j_0 would otherwise amplify the O(eps/|z|)
-    contamination of the raw sequence.
+    Essentially real arguments (|Im z| <= 1e-8 |z|, |z| >= 4) take the
+    orders n <= n_top = min(int(0.75 |z|), n_max) from upward recurrence
+    started at the closed forms j_0 = sin(z)/z and
+    j_1 = (sin z - z cos z)/z^2: below the turning point it is stable and
+    accurate relative to the local values, also at the crossings.  When
+    n_top = n_max that is the whole sequence.
 
-    For essentially real arguments the oscillatory orders n <= 0.75 |z|
-    are then recomputed by upward recurrence from the closed forms: the
-    downward pass is accurate relative to the oscillation amplitude but
-    not relative to the near-zero values at the crossings, while upward
-    recurrence is stable (and locally exact) below the turning point.
+    The other arguments, and the orders above n_top, come from one shared
+    downward (Miller) pass.  It seeds an arbitrary tail at order
+    n_max + pad + ceil|z| + ceil(4 |z|^(1/3)), with |z| the largest
+    modulus among them, recurses j_{n-1} = (2n+1)/z j_n - j_{n+1} down to
+    0, rescaling by an exact power of two whenever the carries grow, and
+    normalizes against whichever closed form of j_0 and j_1 is larger in
+    modulus; normalizing against a near-vanishing j_0 would amplify the
+    O(eps/|z|) contamination of the raw sequence.
     """
-    z = np.asarray(z, dtype=complex)
-    n_start = n_max + _MILLER_PAD + int(np.ceil(np.max(np.abs(z))))
-    jp = np.zeros_like(z)
-    jc = np.full_like(z, 1e-30)
-    raw = np.zeros((n_max + 2,) + z.shape, dtype=complex)
-    shift = np.zeros(z.shape, dtype=np.int64)
-    shift_at = np.zeros((n_max + 2,) + z.shape, dtype=np.int64)
-    for n in range(n_start, 0, -1):
-        if n <= n_max + 1:
-            raw[n] = jc
-            shift_at[n] = shift
-        jm = (2 * n + 1) / z * jc - jp
-        jp, jc = jc, jm
-        big = (np.abs(jc.real) + np.abs(jc.imag)) > _RESCALE_LIMIT
-        if big.any():
-            jc = np.where(big, jc * _RESCALE_FACTOR, jc)
-            jp = np.where(big, jp * _RESCALE_FACTOR, jp)
-            shift = shift + big
-    raw[0] = jc
-    shift_at[0] = shift
-
+    absz = np.abs(z)
     sinz = np.sin(z)
-    cosz = np.cos(z)
-    j0_true = sinz / z
-    j1_true = (sinz - z * cosz) / (z * z)
-    use_j1 = np.abs(j1_true) > np.abs(j0_true)
-    ref_true = np.where(use_j1, j1_true, j0_true)
-    ref_raw = np.where(use_j1, raw[1], raw[0])
-    factor = ref_true / ref_raw
-    # Entries stored before a later rescale carry extra powers of the
-    # rescale factor; applying them may underflow to zero, which is the
-    # correct double-precision value of such a coefficient.
-    delta = shift[None, ...] - shift_at
-    out = raw[: n_max + 1] * factor * _RESCALE_FACTOR**delta[: n_max + 1]
+    j0 = sinz / z
+    j1 = (sinz - z * np.cos(z)) / (z * z)
+    real = (np.abs(z.imag) <= 1e-8 * absz) & (absz >= 4.0)
+    n_top = np.where(real, np.minimum((0.75 * absz).astype(int), n_max), -1)
+    out = np.empty((n_max + 1,) + z.shape, dtype=complex)
 
-    upward = (np.abs(z.imag) <= 1e-8 * np.abs(z)) & (np.abs(z) >= 4.0)
-    if upward.any() and n_max >= 2:
-        zu = z[upward]
-        n_top = np.minimum((0.75 * np.abs(zu)).astype(int), n_max)
-        jm = j0_true[upward]
-        jc = j1_true[upward]
-        for n in range(1, int(n_top.max())):
-            jp = (2 * n + 1) / zu * jc - jm
-            jm, jc = jc, jp
-            write = n + 1 <= n_top
-            if write.any():
-                col = out[n + 1, upward]
-                col[write] = jc[write]
-                out[n + 1, upward] = col
+    miller = n_top < n_max
+    if miller.any():
+        zm = z[miller]
+        amax = np.max(absz[miller])
+        n_start = n_max + _MILLER_PAD + int(np.ceil(amax) + np.ceil(4 * amax ** (1 / 3)))
+        jp = np.zeros_like(zm)
+        jc = np.full_like(zm, 1e-30)
+        raw = np.zeros((n_max + 2,) + zm.shape, dtype=complex)
+        shift = np.zeros(zm.shape, dtype=np.int64)
+        shift_at = np.zeros((n_max + 2,) + zm.shape, dtype=np.int64)
+        for n in range(n_start, 0, -1):
+            if n <= n_max + 1:
+                raw[n] = jc
+                shift_at[n] = shift
+            jm = (2 * n + 1) / zm * jc - jp
+            jp, jc = jc, jm
+            big = (np.abs(jc.real) + np.abs(jc.imag)) > _RESCALE_LIMIT
+            if big.any():
+                jc = np.where(big, jc * _RESCALE_FACTOR, jc)
+                jp = np.where(big, jp * _RESCALE_FACTOR, jp)
+                shift = shift + big
+        raw[0] = jc
+        shift_at[0] = shift
+        use_j1 = np.abs(j1[miller]) > np.abs(j0[miller])
+        ref = np.where(use_j1, j1[miller], j0[miller])
+        factor = ref / np.where(use_j1, raw[1], raw[0])
+        # Entries stored before a later rescale carry extra powers of the
+        # rescale factor; applying them may underflow to zero, which is the
+        # correct double-precision value of such a coefficient.
+        delta = shift[None, ...] - shift_at[: n_max + 1]
+        out[:, miller] = raw[: n_max + 1] * factor * _RESCALE_FACTOR**delta
+
+    if real.any():
+        zu = z[real]
+        top = n_top[real]
+        up = np.empty((n_max + 1,) + zu.shape, dtype=complex)
+        up[0] = j0[real]
+        if n_max >= 1:
+            up[1] = j1[real]
+        # Columns with a low n_top may overflow past it; those entries are
+        # discarded below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, int(top.max())):
+                up[n + 1] = (2 * n + 1) / zu * up[n] - up[n - 1]
+        keep = np.arange(n_max + 1)[:, None] <= top[None, :]
+        out[:, real] = np.where(keep, up, out[:, real])
     return out
 
 
-def spherical_bessel_seq(z, n_max):
-    """Spherical Bessel values j_0(z)..j_{n_max}(z), complex z allowed.
-
-    Returns a BesselSequence.  Accurate to at least 12 significant digits
-    for |z| <= 1e3 and n_max <= 256.  At z = 0 the exact limits are
-    returned (j_0 = 1, j_n = 0 for n >= 1).
-    """
-    z = _check_argument(z)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if abs(z) < _SEQ_SERIES_CUTOFF:
-        values = _series_pair(np.array([z]), n_max)[0][:, 0]
-    else:
-        values = _miller_jn(np.array([z]), n_max)[:, 0]
-    return BesselSequence(argument=z, values=values)
-
-
-def spherical_bessel_over_arg(z, n_max):
-    """The family j_n(z)/z for n = 0..n_max.
-
-    Entries n >= 1 are finite for all z including z = 0, where the limits
-    are 1/3 for n = 1 and 0 for n >= 2.  The n = 0 slot holds j_0(z)/z for
-    z != 0 and 0 at z = 0; it is a placeholder (every consumer weights it
-    by a factor that vanishes there).
-    """
-    z = _check_argument(z)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if abs(z) < _PAIR_SERIES_CUTOFF:
-        return _series_pair(np.array([z]), n_max)[1][:, 0]
-    return _miller_jn(np.array([z]), n_max)[:, 0] / z
-
-
-def bessel_pair(z, n_max):
-    """(j_n(z), j_n(z)/z) for n = 0..n_max, sharing one generation pass."""
-    z = _check_argument(z)
-    jn, jz = bessel_pair_batch(np.array([z]), n_max)
-    return jn[:, 0], jz[:, 0]
-
-
 def bessel_pair_batch(z, n_max):
-    """Vectorized bessel_pair over a 1-D array of arguments.
+    """(j_n(z), j_n(z)/z) for n = 0..n_max over a 1-D array of arguments.
 
-    Arguments below the series cutoff go through the Maclaurin branch, the
-    rest through one shared downward recurrence.  Shape of each output is
-    (n_max + 1, len(z)).
+    Each output has shape (n_max + 1, len(z)).  Accurate to at least 12
+    significant digits for |z| <= 1e3 and n_max <= 256; a value near a
+    zero crossing is accurate relative to the amplitude of its sequence.
+    At z = 0 the exact limits are returned:
+    j_0 = 1, j_n = 0 for n >= 1, j_1/z = 1/3 and j_n/z = 0 for n >= 2.
+    The n = 0 slot of the /z family holds j_0(z)/z for z != 0 and 0 at
+    z = 0; every consumer weights it by a factor that vanishes there.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite Bessel argument in batch")
     jn = np.empty((n_max + 1,) + z.shape, dtype=complex)
     jz = np.empty_like(jn)
-    small = np.abs(z) < _PAIR_SERIES_CUTOFF
+    small = np.abs(z) < _SERIES_CUTOFF
     if small.any():
-        jn_s, jz_s = _series_pair(z[small], n_max)
-        jn[:, small] = jn_s
-        jz[:, small] = jz_s
-    if (~small).any():
+        jn[:, small], jz[:, small] = _series_pair(z[small], n_max)
+    if not small.all():
         zb = z[~small]
-        jn_m = _miller_jn(zb, n_max)
-        jn[:, ~small] = jn_m
-        jz[:, ~small] = jn_m / zb
+        jn_b = _recurrence_jn(zb, n_max)
+        jn[:, ~small] = jn_b
+        jz[:, ~small] = jn_b / zb
     return jn, jz
 
 

@@ -8,9 +8,6 @@ from diracnsbf.grid import (
     differentiate,
     indefinite_integral,
     indefinite_integral_weighted,
-    linear_combine,
-    matmul_left,
-    matmul_right,
     scale_by_nodes,
 )
 
@@ -171,24 +168,6 @@ class TestDifferentiate:
 
 
 class TestPointwiseAlgebra:
-    def test_add_zero(self):
-        g = Grid(1.0, 20)
-        f = mat_const(g, [[1, 2], [3, 4]])
-        out = linear_combine([1.0, 1.0], [f, np.zeros_like(f)])
-        np.testing.assert_allclose(out, f, atol=0)
-
-    def test_right_multiply_constant(self):
-        g = Grid(1.0, 20)
-        B = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = matmul_right(mat_const(g, np.eye(2)), B)
-        np.testing.assert_allclose(out, mat_const(g, B), atol=0)
-
-    def test_nodewise_product(self):
-        g = Grid(1.0, 20)
-        f = g.nodes[:, None, None] * np.eye(2)
-        out = matmul_left(f, f)
-        np.testing.assert_allclose(out, (g.nodes**2)[:, None, None] * np.eye(2), atol=0)
-
     def test_scale_by_nodes(self):
         g = Grid(1.0, 20)
         f = mat_const(g, np.eye(2))
@@ -199,11 +178,7 @@ class TestPointwiseAlgebra:
         g = Grid(1.0, 20)
         f = mat_const(g, np.eye(2))
         with pytest.raises(GridMismatchError):
-            matmul_left(np.zeros((7, 2, 2)), f)
-        with pytest.raises(GridMismatchError):
             scale_by_nodes(np.zeros(7), f)
-        with pytest.raises(GridMismatchError):
-            linear_combine([1, 1], [f, np.zeros((7, 2, 2))])
 
 
 class TestCubicInterp:

@@ -47,7 +47,7 @@ class TestBuildCoefficients:
         Q = Potential.zero(g)
         hom = fundamental_solution_zero(Q)
         fam = build_coefficients(Q, hom, 6)
-        assert np.max(np.abs(fam.theta)) == 0.0
+        assert all(np.max(np.abs(fam.theta_n(n))) == 0.0 for n in range(-1, 7))
         assert np.max(np.abs(fam.K)) == 0.0
 
     def test_k0_closed_form(self, const_family):
@@ -113,7 +113,7 @@ class TestBuildCoefficients:
             const_family.potential, const_family.hom, 12
         )
         extended = extend_coefficients(const_family, 12)
-        np.testing.assert_allclose(extended.theta, direct.theta, atol=0)
+        np.testing.assert_allclose(extended.K, direct.K, atol=0)
 
     def test_coefficient_decay_smooth(self, trig_family):
         peaks = np.array(

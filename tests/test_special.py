@@ -5,14 +5,21 @@ from scipy import special as sp
 
 from diracnsbf.special import (
     LEGENDRE_DEGREE_CAP,
-    bessel_pair,
     bessel_pair_batch,
     legendre_eval,
     legendre_monomial_coeffs,
     legendre_seq,
-    spherical_bessel_over_arg,
-    spherical_bessel_seq,
 )
+
+
+def jn_seq(z, n_max):
+    """j_0(z)..j_{n_max}(z) at one argument, from the batch engine."""
+    return bessel_pair_batch(np.array([z], dtype=complex), n_max)[0][:, 0]
+
+
+def over_arg(z, n_max):
+    """j_n(z)/z for n = 0..n_max at one argument, from the batch engine."""
+    return bessel_pair_batch(np.array([z], dtype=complex), n_max)[1][:, 0]
 
 
 # Closed forms used as oracles for the low orders.
@@ -30,56 +37,61 @@ def j2_exact(z):
 
 class TestSphericalBesselSeq:
     def test_zero_argument_limits(self):
-        seq = spherical_bessel_seq(0.0, 3)
-        np.testing.assert_allclose(seq.values, [1.0, 0.0, 0.0, 0.0], atol=0)
+        np.testing.assert_allclose(jn_seq(0.0, 3), [1.0, 0.0, 0.0, 0.0], atol=0)
 
     def test_j0_at_2(self):
         # oracle: sin(2)/2 = 0.45464871341284085
-        seq = spherical_bessel_seq(2.0, 0)
-        assert abs(seq.values[0] - 0.45464871341284085) < 1e-13
+        assert abs(jn_seq(2.0, 0)[0] - 0.45464871341284085) < 1e-13
 
     def test_j2_at_1(self):
         # oracle: (3 - 1) sin 1 - 3 cos 1 = 0.062035052011373861
-        seq = spherical_bessel_seq(1.0, 2)
-        assert abs(seq.values[2] - j2_exact(1.0)) < 1e-13
-        assert abs(seq.values[2] - 0.06203505201137386) < 1e-12
+        v = jn_seq(1.0, 2)
+        assert abs(v[2] - j2_exact(1.0)) < 1e-13
+        assert abs(v[2] - 0.06203505201137386) < 1e-12
 
     def test_j0_imaginary_argument(self):
         # oracle: sin(i)/i = sinh(1) = 1.1752011936438014
-        seq = spherical_bessel_seq(1j, 0)
-        assert abs(seq.values[0] - 1.1752011936438014) < 1e-12
+        assert abs(jn_seq(1j, 0)[0] - 1.1752011936438014) < 1e-12
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            spherical_bessel_seq(np.nan, 2)
+            bessel_pair_batch(np.array([np.nan]), 2)
         with pytest.raises(ValueError):
-            spherical_bessel_seq(complex(np.inf, 0.0), 2)
+            bessel_pair_batch(np.array([1.0, complex(np.inf, 0.0)]), 2)
         with pytest.raises(ValueError):
-            spherical_bessel_seq(1.0, -1)
+            bessel_pair_batch(np.array([1.0]), -1)
 
     @pytest.mark.parametrize("z", [0.3, 2.0, 17.5, 250.0, 1000.0])
     def test_against_scipy_real(self, z):
         n = np.arange(61)
-        seq = spherical_bessel_seq(z, 60)
+        v = jn_seq(z, 60)
         ref = sp.spherical_jn(n, z)
         scale = np.maximum(np.abs(ref), 1e-300)
-        err = np.abs(seq.values - ref) / np.maximum(scale, 1e-12 * np.max(scale))
+        err = np.abs(v - ref) / np.maximum(scale, 1e-12 * np.max(scale))
         assert np.max(err) < 1e-12
 
     @pytest.mark.parametrize("z", [1.0 + 1.0j, 5.0 - 2.0j, 40.0 + 3.0j, 0.01 + 0.02j])
     def test_against_scipy_complex(self, z):
         n = np.arange(31)
-        seq = spherical_bessel_seq(z, 30)
+        v = jn_seq(z, 30)
         ref = sp.spherical_jn(n, z)
-        assert np.max(np.abs(seq.values - ref) / np.maximum(np.abs(ref), 1e-280)) < 1e-11
+        assert np.max(np.abs(v - ref) / np.maximum(np.abs(ref), 1e-280)) < 1e-11
+
+    @pytest.mark.parametrize("n_max", [1, 3, 9, 17])
+    @pytest.mark.parametrize("z", [423.0, -399.0, 999.5, 423.0 + 1.0j, 999.0 + 1.0j])
+    def test_large_argument_low_order(self, z, n_max):
+        # few orders far below |z|: the eigenvalue scan's regime; the error
+        # is measured against the amplitude of the sequence
+        ref = sp.spherical_jn(np.arange(n_max + 1), z)
+        err = np.max(np.abs(jn_seq(z, n_max) - ref)) / np.max(np.abs(ref))
+        assert err < 1e-12
 
     def test_near_sin_zero_normalization(self):
         # j0(z) nearly vanishes at z = k pi; values must stay accurate.
         for k in (1, 5, 31):
             z = k * np.pi * (1 + 1e-13)
-            seq = spherical_bessel_seq(z, 12)
             ref = sp.spherical_jn(np.arange(13), z)
-            assert np.max(np.abs(seq.values - ref)) < 1e-13
+            assert np.max(np.abs(jn_seq(z, 12) - ref)) < 1e-13
 
     def test_recurrence_residual_invariant(self):
         rng = np.random.default_rng(7)
@@ -87,26 +99,26 @@ class TestSphericalBesselSeq:
             z = complex(rng.uniform(-30, 30), rng.uniform(-3, 3))
             if abs(z) < 1e-3:
                 continue
-            v = spherical_bessel_seq(z, 24).values
+            v = jn_seq(z, 24)
             for n in range(1, 24):
                 resid = abs(v[n - 1] + v[n + 1] - (2 * n + 1) / z * v[n])
                 assert resid <= 1e-12 * max(1.0, abs(v[n]))
 
     def test_j0_times_z_is_sin(self):
         for z in (0.5, 3.3, 20.0, 2.0 + 1.0j):
-            v = spherical_bessel_seq(z, 0).values[0]
+            v = jn_seq(z, 0)[0]
             assert abs(v * z - np.sin(z)) <= 1e-13 * abs(np.sin(z))
 
     def test_upward_recurrence_cross_check(self):
-        # Upward recurrence from the downward-generated j0, j1 reproduces
-        # the sequence in the oscillatory regime n <= |z|.
+        # Upward recurrence from the generated j0, j1 reproduces the
+        # sequence in the oscillatory regime n <= |z|.
         rng = np.random.default_rng(11)
         for _ in range(12):
             z = complex(rng.uniform(0.5, 50.0), 0.0)
             nmax = int(abs(z))
             if nmax < 2:
                 continue
-            v = spherical_bessel_seq(z, nmax).values
+            v = jn_seq(z, nmax)
             up = np.empty_like(v)
             up[0], up[1] = v[0], v[1]
             for n in range(1, nmax):
@@ -117,7 +129,7 @@ class TestSphericalBesselSeq:
         # sum_n (2n+1) j_n(x)^2 = 1 for real x: partial sums are monotone
         # nondecreasing and bounded by 1 + tol.
         for x in (0.7, 4.0, 12.5):
-            v = spherical_bessel_seq(x, 40).values.real
+            v = jn_seq(x, 40).real
             weights = 2 * np.arange(41) + 1
             partial = np.cumsum(weights * v**2)
             assert np.all(np.diff(partial) >= -1e-15)
@@ -125,7 +137,7 @@ class TestSphericalBesselSeq:
 
     def test_high_order_small_argument(self):
         # deep in the decay regime the values underflow cleanly to zero
-        v = spherical_bessel_seq(1e-3, 256).values
+        v = jn_seq(1e-3, 256)
         assert v[256] == 0.0
         assert abs(v[0] - j0_exact(1e-3)) < 1e-15
 
@@ -134,58 +146,59 @@ class TestSphericalBesselSeq:
         # the full contract envelope: n_max = 256, |z| up to 1e3, with
         # 12 significant digits everywhere above the underflow regime
         n = np.arange(257)
-        seq = spherical_bessel_seq(z, 256).values
+        v = jn_seq(z, 256)
         ref = sp.spherical_jn(n, z)
         meaningful = np.abs(ref) > 1e-290
-        err = np.abs(seq[meaningful] - ref[meaningful]) / np.abs(ref[meaningful])
+        err = np.abs(v[meaningful] - ref[meaningful]) / np.abs(ref[meaningful])
         assert np.max(err) < 1e-12
 
 
 class TestOverArg:
     def test_zero_argument(self):
-        vals = spherical_bessel_over_arg(0.0, 2)
+        vals = over_arg(0.0, 2)
         assert vals[1] == pytest.approx(1 / 3, abs=1e-15)
         assert vals[2] == 0.0
 
     def test_at_2(self):
-        vals = spherical_bessel_over_arg(2.0, 1)
+        vals = over_arg(2.0, 1)
         assert abs(vals[1] - j1_exact(2.0) / 2.0) < 1e-13
         assert abs(vals[1] - 0.21769888748999582) < 1e-12
 
     def test_tiny_argument(self):
-        vals = spherical_bessel_over_arg(1e-9, 1)
+        vals = over_arg(1e-9, 1)
         assert abs(vals[1] - 1 / 3) < 1e-12
 
     def test_matches_division_above_cutoff(self):
-        for z in (0.6, 3.0, 25.0, 1.0 + 2.0j):
-            seq = spherical_bessel_seq(z, 10).values
-            vals = spherical_bessel_over_arg(z, 10)
-            np.testing.assert_allclose(vals[1:], seq[1:] / z, rtol=1e-12)
+        z = np.array([0.6, 3.0, 25.0, 1.0 + 2.0j])
+        jn, jz = bessel_pair_batch(z, 10)
+        np.testing.assert_allclose(jz[1:], jn[1:] / z, rtol=1e-12)
 
     def test_branches_agree_near_cutoff(self):
-        # series branch (|z| < 0.5) against Miller-with-division just above
+        # series branch (|z| < 0.5) against the recurrences just above
         for z in (0.499, 0.501, 0.3, 0.49 + 0.05j):
-            vals = spherical_bessel_over_arg(z, 8)
+            vals = over_arg(z, 8)
             ref = sp.spherical_jn(np.arange(1, 9), z) / z
             np.testing.assert_allclose(vals[1:], ref, rtol=1e-12, atol=1e-300)
 
 
 class TestBesselPair:
     def test_pair_consistency(self):
-        for z in (0.0, 1e-5, 0.2, 0.8, 10.0, 3.0 - 1.0j):
-            jn, jz = bessel_pair(z, 12)
-            seq = spherical_bessel_seq(z, 12).values
-            np.testing.assert_allclose(jn, seq, rtol=1e-11, atol=1e-300)
-            if z != 0:
-                np.testing.assert_allclose(jz[1:], jn[1:] / z, rtol=1e-11, atol=1e-300)
+        z = np.array([0.0, 1e-5, 0.2, 0.8, 10.0, 3.0 - 1.0j])
+        jn, jz = bessel_pair_batch(z, 12)
+        for i, zi in enumerate(z):
+            ref = sp.spherical_jn(np.arange(13), zi)
+            np.testing.assert_allclose(jn[:, i], ref, rtol=1e-11, atol=1e-300)
+            if zi != 0:
+                np.testing.assert_allclose(jz[1:, i], jn[1:, i] / zi, rtol=1e-11, atol=1e-300)
 
     def test_batch_matches_scalar(self):
-        z = np.array([0.0, 1e-6, 0.3, 0.7, 5.0, 80.0, 2.0 + 0.5j])
+        # a mixed batch (series, upward-only and Miller arguments) gives
+        # each argument the values it gets on its own
+        z = np.array([0.0, 1e-6, 0.3, 0.7, 5.0, 80.0, 2.0 + 0.5j, 600.0 + 1.0j])
         jn_b, jz_b = bessel_pair_batch(z, 9)
         for i, zi in enumerate(z):
-            jn, jz = bessel_pair(zi, 9)
-            np.testing.assert_allclose(jn_b[:, i], jn, rtol=1e-13, atol=1e-300)
-            np.testing.assert_allclose(jz_b[:, i], jz, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(jn_b[:, i], jn_seq(zi, 9), rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(jz_b[:, i], over_arg(zi, 9), rtol=1e-13, atol=1e-300)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,7 +207,7 @@ class TestBesselPair:
         )
     )
     def test_recurrence_property(self, z):
-        jn, _ = bessel_pair(z, 16)
+        jn = jn_seq(z, 16)
         for n in range(1, 16):
             resid = abs(jn[n - 1] + jn[n + 1] - (2 * n + 1) / z * jn[n])
             assert resid <= 1e-12 * max(1.0, abs(jn[n]))
