@@ -32,10 +32,13 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 import time
+import zipfile
 
 import numpy as np
 
+from . import __version__, dirac, kernel
 from .dirac import HomogeneousSolution, Potential, fundamental_solution_zero
 from .exprparse import ParseError, evaluate, evaluate_on_grid, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks
@@ -68,6 +71,12 @@ _KEYS = {
     "scan_step",
     "out",
 }
+
+
+# Names the arithmetic of the coefficient build (propagator, recursion,
+# guard); change it whenever a build would no longer reproduce cached
+# coefficients bit for bit, so that no stale cache file is served.
+_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b"
 
 
 class ConfigError(Exception):
@@ -272,7 +281,17 @@ class Problem:
 
     def _cache_token(self):
         cfg = self.cfg
-        parts = ["b=%r" % self.b, "M=%d" % self.grid.M, "N=%r" % self.N]
+        parts = [
+            "version=%s" % __version__,
+            "scheme=%s" % _BUILD_SCHEME,
+            "substeps=%d" % dirac._SUBSTEPS,
+            "guard=%r" % kernel._GUARD_FRACTION,
+            "sanitize=%r,%r,%r"
+            % (kernel._SANITIZE_FROM, kernel._SANITIZE_CELLS, kernel._SANITIZE_CAP),
+            "b=%r" % self.b,
+            "M=%d" % self.grid.M,
+            "N=%r" % self.N,
+        ]
         if self.N == "auto":
             parts.append("tol=%r" % self.tol)
         for key in ("p_expr", "q_expr", "nu_expr", "gauge_phi"):
@@ -287,23 +306,51 @@ class Problem:
         base = os.path.dirname(self.out) or "."
         return os.path.join(base, ".nsbf_cache", self._cache_token() + ".npz")
 
+    def _load_cached(self, path):
+        """Coefficients from a cache file, or None when it cannot be read."""
+        shape = (self.grid.size, 2, 2)
+        try:
+            with np.load(path) as data:
+                N, K = int(data["N"]), data["K"]
+                U, Uinv = data["U"], data["Uinv"]
+            if U.shape != shape or Uinv.shape != shape or K.shape != (N + 2,) + shape:
+                raise ValueError("array shapes do not match the grid")
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            print(
+                "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),
+                file=sys.stderr,
+            )
+            return None
+        hom = HomogeneousSolution(grid=self.grid, U=U, Uinv=Uinv)
+        return KernelCoefficients(
+            grid=self.grid, potential=self.potential, hom=hom, N=N, K=K
+        )
+
+    def _store_cached(self, path, coeffs):
+        """Write the cache file under a temporary name, then move it in place."""
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(
+                    fh, N=coeffs.N, K=coeffs.K, U=coeffs.hom.U, Uinv=coeffs.hom.Uinv
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
     def coefficients(self, report_sink=None):
         """Kernel coefficients, from the on-disk cache when unchanged."""
         t0 = time.perf_counter()
         path = self._cache_path()
         if os.path.exists(path):
-            data = np.load(path)
-            hom = HomogeneousSolution(grid=self.grid, U=data["U"], Uinv=data["Uinv"])
-            coeffs = KernelCoefficients(
-                grid=self.grid,
-                potential=self.potential,
-                hom=hom,
-                N=int(data["N"]),
-                K=data["K"],
-            )
-            print("coefficients: cache hit (%.3fs)" % (time.perf_counter() - t0))
-            return coeffs
-        hom = fundamental_solution_zero(self.potential)
+            coeffs = self._load_cached(path)
+            if coeffs is not None:
+                print("coefficients: cache hit (%.3fs)" % (time.perf_counter() - t0))
+                return coeffs
+        hom = fundamental_solution_zero(self.potential, dirac._SUBSTEPS)
         if self.N == "auto":
             coeffs, report = auto_truncation(self.potential, hom, self.tol)
             if report_sink is not None:
@@ -316,32 +363,36 @@ class Problem:
                 )
         else:
             coeffs = build_coefficients(self.potential, hom, self.N)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        np.savez(path, N=coeffs.N, K=coeffs.K, U=hom.U, Uinv=hom.Uinv)
+        self._store_cached(path, coeffs)
         print("coefficients: built in %.3fs" % (time.perf_counter() - t0))
         return coeffs
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, chunks):
+    """Header plus pre-formatted chunks of LF-terminated rows."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _format_rows(row_format, table):
+    """All rows of a 2-D float table, one `%` call over its values."""
+    return (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
 def _write_coeff_csv(path, grid, matrices_by_order, orders):
-    rows = (
-        ["%d" % n, _fmt(x)]
-        + [
-            _fmt(v)
-            for entry in (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-            for v in (entry.real, entry.imag)
-        ]
-        for n, mats in zip(orders, matrices_by_order)
-        for x, m in zip(grid.nodes, mats)
-    )
-    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", rows)
+    row = ",".join(["%.17g"] * 9) + "\n"
+
+    def chunks():
+        for n, mats in zip(orders, matrices_by_order):
+            # (re, im) pairs of the entries 11, 12, 21, 22, in column order
+            entries = np.asarray(mats, dtype=complex).reshape(grid.size, 4).view(float)
+            table = np.column_stack((grid.nodes, entries))
+            yield _format_rows(("%d," % n) + row, table)
+
+    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", chunks())
 
 
 def cmd_kernel(problem, args):
@@ -413,21 +464,17 @@ def cmd_solve(problem, args):
     coeffs = problem.coefficients()
     ev = build_evaluator(coeffs)
     t0 = time.perf_counter()
+    row = ",".join(["%.17g"] * 6) + "\n"
     for k, lam in enumerate(lams):
         sol = solve_ivp(ev, lam, c)
-        rows = (
-            [
-                _fmt(x),
-                _fmt(sol.Y[i, 0].real),
-                _fmt(sol.Y[i, 0].imag),
-                _fmt(sol.Y[i, 1].real),
-                _fmt(sol.Y[i, 1].imag),
-                _fmt(sol.residual_nodes[i]),
-            ]
-            for i, x in enumerate(problem.grid.nodes)
+        # Y.view(float) holds re_y1, im_y1, re_y2, im_y2 per node
+        table = np.column_stack(
+            (problem.grid.nodes, sol.Y.view(float), sol.residual_nodes)
         )
         path = "%s_solution_%03d.csv" % (problem.out, k)
-        _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", rows)
+        _write_csv(
+            path, "x,re_y1,im_y1,re_y2,im_y2,residual", [_format_rows(row, table)]
+        )
     dt = time.perf_counter() - t0
     print("solve: %d lambda values in %.3fs" % (len(lams), dt))
     return 0
@@ -458,12 +505,12 @@ def cmd_spectrum(problem, args):
     t0 = time.perf_counter()
     records = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
     dt = time.perf_counter() - t0
-    rows = [
-        ["%d" % r.index, _fmt(r.lam), _fmt(r.residual), "%d" % r.iterations]
+    rows = "".join(
+        "%d,%.17g,%.17g,%d\n" % (r.index, r.lam, r.residual, r.iterations)
         for r in records
-    ]
+    )
     path = problem.out + "_eigs.csv"
-    _write_csv(path, "index,lambda,residual,iterations", rows)
+    _write_csv(path, "index,lambda,residual,iterations", [rows])
     max_resid = max((r.residual for r in records), default=0.0)
     print("eigenvalues written to %s" % path)
     print("count=%d,max_residual=%s,wall_time=%.3fs" % (len(records), _fmt(max_resid), dt))

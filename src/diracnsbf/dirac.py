@@ -26,7 +26,6 @@ from .grid import (
 
 __all__ = [
     "B_MAT",
-    "BT_MAT",
     "I2",
     "ResidualError",
     "Potential",
@@ -42,8 +41,11 @@ __all__ = [
 ]
 
 B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-BT_MAT = B_MAT.T.copy()
 I2 = np.eye(2, dtype=complex)
+
+
+# RK4 refinement of each grid cell used by fundamental_solution_zero.
+_SUBSTEPS = 10
 
 
 class ResidualError(RuntimeError):
@@ -206,6 +208,38 @@ class HomogeneousSolution:
         return float(np.max(np.abs(det - 1.0)))
 
 
+def _mul2(a, b):
+    """Batched 2x2 product a @ b, written out entry by entry.
+
+    Much cheaper than a stacked `@`, which dispatches one tiny matrix
+    product per node; broadcasting over the leading axes as `@` does.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _b_left(X):
+    """B X for a batch of 2x2 matrices: the rows swapped, the new second negated."""
+    out = np.empty_like(X)
+    out[..., 0, :] = X[..., 1, :]
+    out[..., 1, :] = -X[..., 0, :]
+    return out
+
+
+def _b_right(X):
+    """X B for a batch of 2x2 matrices: the columns swapped, the new first negated."""
+    out = np.empty_like(X)
+    out[..., :, 0] = -X[..., :, 1]
+    out[..., :, 1] = X[..., :, 0]
+    return out
+
+
 def _coefficient_samples(Q, substeps):
     """B Q(x) on the refinement needed by the RK4 sweep (h/substeps/2)."""
     grid = Q.grid
@@ -221,35 +255,67 @@ def _coefficient_samples(Q, substeps):
     return A
 
 
-def fundamental_solution_zero(Q, substeps=10, check=True):
+def _rk4_step_maps(A, h):
+    """D_k of every RK4 step u -> (I + D_k) u of u' = A u, in one expression.
+
+    Step k uses the samples a0, am, a1 = A[2k], A[2k + 1], A[2k + 2]; the
+    classical stages expand to
+
+        D = h/6 [(a0 + 4 am + a1) + h (am a0 + am^2 + a1 am)
+                 + h^2/2 (am^2 a0 + a1 am^2) + h^3/4 a1 am^2 a0].
+
+    A = B Q is trace-free, so am^2 = (p^2 + q^2) I exactly (also in
+    floating point), which leaves three genuine 2x2 products.
+    """
+    a0, am, a1 = A[0:-1:2], A[1::2], A[2::2]
+    s = (am[:, 0, 0] ** 2 + am[:, 0, 1] ** 2)[:, None, None]  # am^2 = s I
+    ends = a0 + a1
+    D = 4.0 * am + ends + h * (_mul2(am, a0) + _mul2(a1, am) + s * I2)
+    D += (0.5 * h * h) * s * ends + (0.25 * h**3) * s * _mul2(a1, a0)
+    D *= h / 6.0
+    return D
+
+
+def _compose(Dl, De):
+    """D of (I + Dl)(I + De): the later map on the left, I never formed."""
+    return Dl + De + _mul2(Dl, De)
+
+
+def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
     """Fundamental matrix U(0, x) of B Y' + Q Y = 0, U(0, 0) = I.
 
     Classical fixed-step RK4 on a `substeps`-fold refinement of the grid
-    (written as U' = B Q U), down-sampled to the grid nodes.  The inverse
-    comes from the adjugate since det U(0, x) = 1 identically (the
-    coefficient matrix B Q is trace-free).  With check=True the
-    unimodularity defect and the finite-difference ODE residual are
-    verified against a scale-aware tolerance; failure signals that the
-    grid is too coarse for the potential.
+    (written as U' = B Q U), down-sampled to the grid nodes.  On this
+    linear system every RK4 step is one fixed 2x2 map I + D_k, so all
+    M * substeps maps are built in one batched expression, composed per
+    cell, and turned into U(0, x_i) by a doubling (Hillis-Steele) prefix
+    scan over the cells, log2(M) rounds of batched products.  The maps
+    stay in I + D form throughout, (I + Dl)(I + De) = I + (Dl + De + Dl De),
+    and I is added only when U is written: D is O(h) per step, so its
+    rounding is relative to D rather than to 1.  A product of I + D
+    matrices formed per step would carry the same O(eps) rounding of the
+    identity into every step, which on a constant potential drifts
+    instead of averaging out.  The inverse comes from the adjugate since
+    det U(0, x) = 1 identically (the coefficient matrix B Q is
+    trace-free).  With check=True the unimodularity defect and the
+    finite-difference ODE residual are verified against a scale-aware
+    tolerance; failure signals that the grid is too coarse for the
+    potential.
     """
     grid = Q.grid
     A = _coefficient_samples(Q, substeps)
-    hs = grid.h / substeps
+    D = _rk4_step_maps(A, grid.h / substeps).reshape(grid.M, substeps, 2, 2)
+    cells = D[:, 0]
+    for k in range(1, substeps):
+        cells = _compose(D[:, k], cells)
+    # after the round with offset d, cells[i] composes cells i - 2d + 1..i
+    d = 1
+    while d < grid.M:
+        cells[d:] = _compose(cells[d:], cells[:-d])
+        d *= 2
     U = np.empty((grid.size, 2, 2), dtype=complex)
-    u = I2.copy()
-    U[0] = u
-    k = 0
-    for i in range(grid.M):
-        for _ in range(substeps):
-            a0, am, a1 = A[k], A[k + 1], A[k + 2]
-            k1 = a0 @ u
-            k2 = am @ (u + 0.5 * hs * k1)
-            k3 = am @ (u + 0.5 * hs * k2)
-            k4 = a1 @ (u + hs * k3)
-            u = u + (hs / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            k += 2
-        U[i + 1] = u
     U[0] = I2
+    U[1:] = cells + I2
     if check:
         det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]
         defect = float(np.max(np.abs(det - 1.0)))
@@ -271,7 +337,7 @@ def fundamental_solution_zero(Q, substeps=10, check=True):
 def homogeneous_residual(hom, Q):
     """max interior-node norm of B U' + Q U for the computed U(0, x)."""
     dU = differentiate(hom.grid, hom.U)
-    R = B_MAT @ dU + Q.matrices @ hom.U
+    R = _b_left(dU) + _mul2(Q.matrices, hom.U)
     return float(np.max(matrix_norm(R[1:-1])))
 
 
@@ -282,8 +348,8 @@ def apply_S(H, hom):
     """
     H = np.asarray(H, dtype=complex)
     check_same_grid(hom.grid, H)
-    integrand = hom.Uinv @ (BT_MAT @ H)
-    return hom.U @ indefinite_integral(hom.grid, integrand)
+    integrand = _mul2(hom.Uinv, -_b_left(H))
+    return _mul2(hom.U, indefinite_integral(hom.grid, integrand))
 
 
 def apply_A(grid, Y, Q):

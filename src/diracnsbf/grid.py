@@ -117,16 +117,17 @@ def indefinite_integral(grid, f):
     f = np.asarray(f)
     check_same_grid(grid, f)
     nblocks = grid.M // BLOCK
-    blocks = np.empty((nblocks, BLOCK + 1) + f.shape[1:], dtype=f.dtype)
+    blocks = np.empty((BLOCK + 1, nblocks) + f.shape[1:], dtype=f.dtype)
     for j in range(BLOCK + 1):
-        blocks[:, j] = f[j::BLOCK][:nblocks]
-    # per-block partial integrals at offsets 1..5, then block totals chained
-    partial = np.einsum("kj,nj...->nk...", _W[1:], blocks) * grid.h
+        blocks[j] = f[j::BLOCK][:nblocks]
+    # per-block partial integrals at offsets 1..5 (one matrix product over
+    # all blocks and components), then block totals chained
+    partial = np.tensordot(_W[1:], blocks, axes=(1, 0)) * grid.h
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     starts = np.zeros((nblocks,) + f.shape[1:], dtype=out.dtype)
-    np.cumsum(partial[:-1, -1], axis=0, out=starts[1:])
+    np.cumsum(partial[-1, :-1], axis=0, out=starts[1:])
     for k in range(1, BLOCK + 1):
-        out[k::BLOCK] = starts + partial[:, k - 1]
+        out[k::BLOCK] = starts + partial[k - 1]
     return out
 
 

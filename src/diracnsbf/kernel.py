@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import B_MAT, I2, apply_S, matrix_norm
+from .dirac import I2, _b_left, _b_right, apply_S, matrix_norm
 from .grid import cubic_interp, scale_by_nodes
 from .special import legendre_seq
 
@@ -92,7 +92,7 @@ class KernelCoefficients:
             return scale_by_nodes(x**n, row)
         out = np.empty_like(row)
         out[1:] = -self.K[1][1:] / x[1:, None, None]
-        out[0] = -0.5 * (B_MAT @ self.potential.matrices[0])
+        out[0] = -0.5 * _b_left(self.potential.matrices[0])
         return out
 
     def coeff(self, n):
@@ -135,32 +135,26 @@ class TruncationReport:
     probes: list = field(default_factory=list)  # (N_probe, sup_Q, sup_0)
 
 
-def _apply_guard(grid, Kn):
-    """Near-origin guard for one coefficient function.
+def _guard_weights(grid):
+    """Near-origin guard: the guarded nodes, their source nodes and weights.
 
     Nodes with 0 < x below the guard fraction of b (where the weighted
     averages behind C_n carry the least quadrature information) are
-    replaced by a degree-3 extrapolation from the first trustworthy nodes;
-    the x = 0 node is pinned to the exact limit C_n(0) = 0.
+    replaced by a degree-3 extrapolation from the first four trustworthy
+    nodes; returns (guarded indices, first source index i0, the
+    (n_guard, 4) Lagrange weights on nodes i0..i0+3).
     """
     x = grid.nodes
-    out = Kn.copy()
-    out[0] = 0.0
     cut = _GUARD_FRACTION * grid.b
-    guard = (x > 0) & (x < cut)
-    if guard.any():
-        i0 = int(np.argmax(x >= cut))
-        xs = x[i0 : i0 + 4]
-        ys = out[i0 : i0 + 4]
-        for xi in np.nonzero(guard)[0]:
-            w = np.array(
-                [
-                    np.prod([(x[xi] - xs[m]) / (xs[j] - xs[m]) for m in range(4) if m != j])
-                    for j in range(4)
-                ]
-            )
-            out[xi] = np.tensordot(w, ys, axes=(0, 0))
-    return out
+    guard = np.nonzero((x > 0) & (x < cut))[0]
+    i0 = int(np.argmax(x >= cut))
+    xs = x[i0 : i0 + 4]
+    w = np.ones((guard.size, 4))
+    for j in range(4):
+        for m in range(4):
+            if m != j:
+                w[:, j] *= (x[guard] - xs[m]) / (xs[j] - xs[m])
+    return guard, i0, w
 
 
 def build_coefficients(Q, hom, N):
@@ -213,13 +207,11 @@ def _recursion_step(K, n, Q, hom):
     x = Q.grid.nodes
     prev2 = K[n - 1]  # C_{n-2}
     prev1 = K[n]  # C_{n-1}
-    Phi = -(2 * n - 1) * (B_MAT @ prev2) + (2 * n - 3) * (prev1 @ B_MAT)
+    Phi = -(2 * n - 1) * _b_left(prev2) + (2 * n - 3) * _b_right(prev1)
     H = scale_by_nodes(x ** (n - 1), Phi)
     Sval = apply_S(H, hom)
-    xn = x**n
-    avg = np.zeros_like(Sval)
-    ok = xn > 0.0
-    avg[ok] = Sval[ok] / xn[ok, None, None]
+    xn = (x**n)[:, None, None]
+    avg = np.divide(Sval, xn, out=np.zeros_like(Sval), where=xn > 0.0)
     K[n + 1] = ((2 * n + 1) / (2 * n - 3)) * (prev2 + avg)
     K[n + 1][: sanitize_cells(n, Q.grid.M) + 1] = 0.0
 
@@ -230,10 +222,11 @@ def _finalize(Q, hom, N, K):
             "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
             % (N, Q.grid.M)
         )
+    # orders 1..N: the guard, and the exact limit C_n(0) = 0 at x = 0
+    guard, i0, w = _guard_weights(Q.grid)
     Kg = K.copy()
-    for n in range(1, N + 1):
-        Kg[n + 1] = _apply_guard(Q.grid, K[n + 1])
-        Kg[n + 1][0] = 0.0
+    Kg[2:, 0] = 0.0
+    Kg[2:, guard] = np.einsum("gj,njab->ngab", w, K[2:, i0 : i0 + 4])
     return KernelCoefficients(grid=Q.grid, potential=Q, hom=hom, N=N, K=Kg)
 
 
@@ -256,21 +249,27 @@ def kernel_eval(coeffs, x, t):
     return np.einsum("n,nij->ij", P, Kx) / x
 
 
+def _boundary_terms(total, alt):
+    """B S - S B for the plain sum S and B T + T B for the alternating sum T.
+
+    Both identities are linear in C_n, so B acts once on the summed
+    coefficients instead of once per order.
+    """
+    return _b_left(total) - _b_right(total), _b_left(alt) + _b_right(alt)
+
+
 def goursat_residuals(coeffs):
     """delta_Q and delta_0 per node (x = 0 excluded) plus their sups."""
     grid = coeffs.grid
-    x = grid.nodes[1:]
+    x = grid.nodes[1:, None, None]
     Kn = coeffs.coeffs[:, 1:]
-    comm = B_MAT @ Kn - Kn @ B_MAT
-    anti = B_MAT @ Kn + Kn @ B_MAT
-    signs = (-1.0) ** np.arange(coeffs.N + 1)
-    dQ = matrix_norm(
-        coeffs.potential.matrices[1:] + comm.sum(axis=0) / x[:, None, None]
-    )
-    d0 = matrix_norm(np.einsum("n,n...->...", signs, anti) / x[:, None, None])
-    outer = x >= 0.5 * grid.b
+    alt = Kn[::2].sum(axis=0) - Kn[1::2].sum(axis=0)
+    comm, anti = _boundary_terms(Kn.sum(axis=0), alt)
+    dQ = matrix_norm(coeffs.potential.matrices[1:] + comm / x)
+    d0 = matrix_norm(anti / x)
+    outer = grid.nodes[1:] >= 0.5 * grid.b
     return GoursatResiduals(
-        x=x,
+        x=grid.nodes[1:],
         delta_Q=dQ,
         delta_0=d0,
         sup_Q=float(dQ.max()),
@@ -285,19 +284,18 @@ def _residual_profile(coeffs):
     grid = coeffs.grid
     outer = grid.nodes >= 0.5 * grid.b
     x = grid.nodes[outer, None, None]
-    Kn = coeffs.coeffs[:, outer]
-    comm = B_MAT @ Kn - Kn @ B_MAT
-    anti = B_MAT @ Kn + Kn @ B_MAT
     Qm = coeffs.potential.matrices[outer]
     sup_Q = np.empty(coeffs.N + 1)
     sup_0 = np.empty(coeffs.N + 1)
-    total = np.zeros_like(comm[0])
-    alt = np.zeros_like(comm[0])
+    total = np.zeros_like(Qm)
+    alt = np.zeros_like(Qm)
     for n in range(coeffs.N + 1):
-        total = total + comm[n]
-        alt = alt + (-1.0) ** n * anti[n]
-        sup_Q[n] = np.max(matrix_norm(Qm + total / x))
-        sup_0[n] = np.max(matrix_norm(alt / x))
+        Kn = coeffs.coeff(n)[outer]
+        total += Kn
+        alt += (-1.0) ** n * Kn
+        comm, anti = _boundary_terms(total, alt)
+        sup_Q[n] = np.max(matrix_norm(Qm + comm / x))
+        sup_0[n] = np.max(matrix_norm(anti / x))
     return sup_Q, sup_0
 
 

@@ -197,6 +197,48 @@ class TestSolveCommand:
         assert "lambdas" in err
 
 
+class TestCoefficientCache:
+    def test_truncated_cache_is_rebuilt(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0\nq_expr = 1\nM = 500\nN = 10\nout = %s\n" % (tmp_path / "t"),
+        )
+        code, _, _ = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npz")
+        first = (tmp_path / "t_coeffs.csv").read_bytes()
+        cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        code, out, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        assert "built in" in out
+        assert err.count("\n") == 1 and "unreadable coefficient cache" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "t_coeffs.csv").read_bytes() == first
+        # the rebuilt file is whole again, and no temporary file is left
+        assert [p.name for p in (tmp_path / ".nsbf_cache").iterdir()] == [cache.name]
+        code, out, err = run(["kernel", "--config", cfg], capsys)
+        assert "cache hit" in out and err == ""
+
+    def test_cache_token_tracks_build_constants(self, monkeypatch):
+        from diracnsbf import cli, dirac, kernel
+
+        problem = cli.Problem({"p_expr": "0", "q_expr": "1", "M": "100"})
+        base = problem._cache_token()
+        for module, name, value in (
+            (dirac, "_SUBSTEPS", 12),
+            (kernel, "_GUARD_FRACTION", 2e-3),
+            (kernel, "_SANITIZE_FROM", 5),
+            (kernel, "_SANITIZE_CELLS", 0.5),
+            (kernel, "_SANITIZE_CAP", 4),
+            (cli, "_BUILD_SCHEME", "other"),
+            (cli, "__version__", "0.0.0"),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(module, name, value)
+                assert problem._cache_token() != base, name
+        assert problem._cache_token() == base
+
+
 class TestSpectrumCommand:
     def test_free_dirichlet(self, tmp_path, capsys):
         cfg = write_config(

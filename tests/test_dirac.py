@@ -3,7 +3,6 @@ import pytest
 
 from diracnsbf.dirac import (
     B_MAT,
-    BT_MAT,
     Potential,
     ResidualError,
     apply_A,
@@ -16,6 +15,8 @@ from diracnsbf.dirac import (
 from diracnsbf.grid import Grid, GridMismatchError
 
 from oracles import const_q_solution
+
+BT_MAT = B_MAT.T
 
 
 def smooth_potential(grid):
@@ -139,6 +140,59 @@ class TestFundamentalSolution:
         hom_exact = fundamental_solution_zero(Q_exact)
         hom_tab = fundamental_solution_zero(Q_tab)
         assert np.max(np.abs(hom_exact.U - hom_tab.U)) < 1e-10
+
+
+def rk4_loop(Q, substeps=10):
+    """Reference: the classical RK4 stages, one substep at a time."""
+    grid = Q.grid
+    x = np.linspace(0.0, grid.b, 2 * grid.M * substeps + 1)
+    p, q = Q.values_at(x)
+    A = np.array([[q, -p], [-p, -q]]).transpose(2, 0, 1)
+    hs = grid.h / substeps
+    U = np.empty((grid.size, 2, 2), dtype=complex)
+    u = U[0] = np.eye(2)
+    for k in range(grid.M * substeps):
+        a0, am, a1 = A[2 * k], A[2 * k + 1], A[2 * k + 2]
+        k1 = a0 @ u
+        k2 = am @ (u + 0.5 * hs * k1)
+        k3 = am @ (u + 0.5 * hs * k2)
+        k4 = a1 @ (u + hs * k3)
+        u = u + (hs / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (k + 1) % substeps == 0:
+            U[(k + 1) // substeps] = u
+    return U
+
+
+class TestComposedPropagator:
+    """The RK4 step maps are composed in I + D form by a prefix scan.
+
+    Forming I + D per step would carry the rounding of the identity into
+    every step; on a constant potential that error drifts instead of
+    averaging out, which these bounds at M = 10000 would catch.
+    """
+
+    def test_matches_stepwise_rk4(self):
+        # same scheme, other arithmetic order: the bound is the loop's own
+        # rounding budget, (M * substeps) * eps ~ 2e-12
+        g = Grid(1.0, 1000)
+        Q = smooth_potential(g)
+        U = fundamental_solution_zero(Q).U
+        assert np.max(np.abs(U - rk4_loop(Q))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["constant", "smooth"])
+    def test_det_defect_fine_grid(self, kind):
+        g = Grid(1.0, 10000)
+        if kind == "constant":
+            Q = Potential.constant(g, 0.3, 1.0)
+        else:
+            Q = smooth_potential(g)
+        assert fundamental_solution_zero(Q).det_defect <= 1e-14
+
+    def test_closed_form_fine_grid(self):
+        g = Grid(1.0, 10000)
+        hom = fundamental_solution_zero(Potential.constant(g, 0.3, 1.0))
+        ref = const_q_solution(0.3, 1.0, 0.0, g.nodes)
+        assert np.max(np.abs(hom.U - ref)) < 1e-14
 
 
 class TestApplyS:

@@ -234,6 +234,15 @@ class TestAutoTruncation:
         assert report.converged
         assert fam.N <= 16
 
+    def test_constant_potential_floor(self):
+        # the solve-sweep problem: a propagator whose rounding drifts
+        # raises the residual floor above 1e-12 and never converges
+        g = Grid(1.0, 2000)
+        Q = Potential.constant(g, 0.3, 1.0)
+        fam, report = auto_truncation(Q, fundamental_solution_zero(Q), 1e-12)
+        assert report.converged
+        assert report.N == fam.N == 12
+
     def test_warning_flag_when_unreachable(self):
         g = Grid(1.0, 100)
         Q = trig_potential(g)
