@@ -23,8 +23,10 @@ through the canonical form).  With gauge_phi set, p_expr and q_expr are
 reinterpreted as the diagonal entries m1, m2 of a system B Z' +
 diag(m1, m2) Z = lambda Z, which is rotated to canonical form by the
 angle expression gauge_phi; boundary blocks are rotated along.  N is an
-integer or "auto" (tol-driven).  All CSV output uses 17-significant-digit
-values, comma delimiters and LF line endings, so identical configs yield
+integer or "auto" (tol-driven).  Every CSV value is written as exactly
+Python's "%.17g" by the vectorized writer `csvfmt.format_table` (only
+non-finite, out-of-range and near-tie values take a per-value "%"), with
+comma delimiters and LF line endings, so identical configs yield
 byte-identical files.
 """
 
@@ -39,6 +41,7 @@ import zipfile
 import numpy as np
 
 from . import __version__, dirac, kernel
+from .csvfmt import format_table
 from .dirac import HomogeneousSolution, Potential, fundamental_solution_zero
 from .exprparse import ParseError, evaluate, evaluate_on_grid, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks
@@ -368,31 +371,23 @@ class Problem:
         return coeffs
 
 
-def _write_csv(path, header, chunks):
-    """Header plus pre-formatted chunks of LF-terminated rows."""
+def _write_csv(path, header, tables):
+    """Header plus the rows of 2-D float tables, each value as "%.17g"."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for chunk in chunks:
-            fh.write(chunk)
-
-
-def _format_rows(row_format, table):
-    """All rows of a 2-D float table, one `%` call over its values."""
-    return (row_format * len(table)) % tuple(table.ravel().tolist())
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for table in tables:
+            fh.write(format_table(table))
 
 
 def _write_coeff_csv(path, grid, matrices_by_order, orders):
-    row = ",".join(["%.17g"] * 9) + "\n"
-
-    def chunks():
+    def tables():
         for n, mats in zip(orders, matrices_by_order):
             # (re, im) pairs of the entries 11, 12, 21, 22, in column order
             entries = np.asarray(mats, dtype=complex).reshape(grid.size, 4).view(float)
-            table = np.column_stack((grid.nodes, entries))
-            yield _format_rows(("%d," % n) + row, table)
+            yield np.column_stack((np.full(grid.size, n, dtype=float), grid.nodes, entries))
 
-    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", chunks())
+    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", tables())
 
 
 def cmd_kernel(problem, args):
@@ -464,7 +459,6 @@ def cmd_solve(problem, args):
     coeffs = problem.coefficients()
     ev = build_evaluator(coeffs)
     t0 = time.perf_counter()
-    row = ",".join(["%.17g"] * 6) + "\n"
     for k, lam in enumerate(lams):
         sol = solve_ivp(ev, lam, c)
         # Y.view(float) holds re_y1, im_y1, re_y2, im_y2 per node
@@ -472,9 +466,7 @@ def cmd_solve(problem, args):
             (problem.grid.nodes, sol.Y.view(float), sol.residual_nodes)
         )
         path = "%s_solution_%03d.csv" % (problem.out, k)
-        _write_csv(
-            path, "x,re_y1,im_y1,re_y2,im_y2,residual", [_format_rows(row, table)]
-        )
+        _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", [table])
     dt = time.perf_counter() - t0
     print("solve: %d lambda values in %.3fs" % (len(lams), dt))
     return 0
@@ -505,15 +497,18 @@ def cmd_spectrum(problem, args):
     t0 = time.perf_counter()
     records = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
     dt = time.perf_counter() - t0
-    rows = "".join(
-        "%d,%.17g,%.17g,%d\n" % (r.index, r.lam, r.residual, r.iterations)
-        for r in records
-    )
+    table = np.array(
+        [(r.index, r.lam, r.residual, r.iterations) for r in records], dtype=float
+    ).reshape(-1, 4)
     path = problem.out + "_eigs.csv"
-    _write_csv(path, "index,lambda,residual,iterations", [rows])
+    _write_csv(path, "index,lambda,residual,iterations", [table])
     max_resid = max((r.residual for r in records), default=0.0)
+    unconverged = sum(not r.converged for r in records)
     print("eigenvalues written to %s" % path)
-    print("count=%d,max_residual=%s,wall_time=%.3fs" % (len(records), _fmt(max_resid), dt))
+    print(
+        "count=%d,max_residual=%s,unconverged=%d,wall_time=%.3fs"
+        % (len(records), _fmt(max_resid), unconverged, dt)
+    )
     return 0
 
 

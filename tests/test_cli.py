@@ -1,10 +1,14 @@
+import functools
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import diracnsbf
+from diracnsbf import cli
 from diracnsbf.cli import main
 
 
@@ -18,6 +22,23 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_written_as_17g(path, header):
+    """The file is its header plus "%.17g" renderings of its own values.
+
+    "%.17g" round-trips through float, so this holds exactly when every
+    value was written as "%.17g".
+    """
+    head, body = path.read_text().split("\n", 1)
+    assert head == header
+    rows = [line.split(",") for line in body.splitlines()]
+    assert rows and all(len(row) == len(header.split(",")) for row in rows)
+    expected = "".join(",".join("%.17g" % float(t) for t in row) + "\n" for row in rows)
+    assert path.read_bytes() == (header + "\n" + expected).encode()
+
+
+COEFF_HEADER = "n,x,re11,im11,re12,im12,re21,im21,re22,im22"
 
 
 class TestConfig:
@@ -239,14 +260,16 @@ class TestCoefficientCache:
         assert problem._cache_token() == base
 
 
+FREE_DIRICHLET = (
+    "p_expr = 0\nq_expr = 0\nM = 200\nN = 4\n"
+    "bc_left = 1,0;0,0\nbc_right = 0,0;1,0\n"
+    "lambda_min = -33\nlambda_max = 33\nout = %s\n"
+)
+
+
 class TestSpectrumCommand:
     def test_free_dirichlet(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "p_expr = 0\nq_expr = 0\nM = 200\nN = 4\n"
-            "bc_left = 1,0;0,0\nbc_right = 0,0;1,0\n"
-            "lambda_min = -33\nlambda_max = 33\nout = %s\n" % (tmp_path / "e"),
-        )
+        cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "e"))
         code, out, _ = run(["spectrum", "--config", cfg], capsys)
         assert code == 0
         data = np.loadtxt(
@@ -255,6 +278,18 @@ class TestSpectrumCommand:
         assert data.shape[0] == 21
         np.testing.assert_allclose(data[:, 1], data[:, 0] * np.pi, atol=1e-10)
         assert "count=21" in out
+
+    def test_unconverged_roots_in_summary(self, tmp_path, capsys, monkeypatch):
+        # one Newton round leaves bracketed roots unconverged; they are kept
+        monkeypatch.setattr(cli, "ScanOptions", functools.partial(cli.ScanOptions, max_iter=1))
+        cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "u"))
+        with pytest.warns(RuntimeWarning, match="did not converge") as caught:
+            code, out, _ = run(["spectrum", "--config", cfg], capsys)
+        assert code == 0
+        assert "count=21" in out
+        warned = int(re.match(r"(\d+) bracketed", str(caught[0].message)).group(1))
+        unconverged = int(re.search(r",unconverged=(\d+),", out).group(1))
+        assert unconverged == warned > 0
 
     def test_missing_bc(self, tmp_path, capsys):
         cfg = write_config(
@@ -286,6 +321,39 @@ class TestSpectrumCommand:
             [-2.977189710951, 1.0, 3.478833069692, 6.578592238156],
             atol=1e-6,
         )
+
+
+class TestCsvOutput:
+    def test_kernel_files_with_mapping_oracle(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "p_expr = sin(3*x)\nq_expr = 1 + x\nM = 200\nN = 6\nout = %s\n"
+            % (tmp_path / "k"),
+        )
+        code, _, _ = run(["kernel", "--config", cfg, "--oracle", "mapping"], capsys)
+        assert code == 0
+        assert_written_as_17g(tmp_path / "k_coeffs.csv", COEFF_HEADER)
+        assert_written_as_17g(tmp_path / "k_coeffs_mapping.csv", COEFF_HEADER)
+
+    def test_solve_files_real_and_complex_lambdas(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 8\nout = %s\n" % (tmp_path / "s"),
+        )
+        code, _, _ = run(
+            ["solve", "--config", cfg, "--lambdas=-7.25,0,3+1i,40"], capsys
+        )
+        assert code == 0
+        for k in range(4):
+            assert_written_as_17g(
+                tmp_path / ("s_solution_%03d.csv" % k), "x,re_y1,im_y1,re_y2,im_y2,residual"
+            )
+
+    def test_spectrum_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "e"))
+        code, _, _ = run(["spectrum", "--config", cfg], capsys)
+        assert code == 0
+        assert_written_as_17g(tmp_path / "e_eigs.csv", "index,lambda,residual,iterations")
 
 
 class TestValidateCommand:
