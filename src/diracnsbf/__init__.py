@@ -27,6 +27,7 @@ from .formal_powers import (
     build_formal_powers,
     build_particular_solution,
     kernel_coeffs_via_mapping,
+    mapped_coefficients,
     phi_psi,
     sign_calibration,
 )
@@ -39,7 +40,6 @@ from .kernel import (
     TruncationReport,
     auto_truncation,
     build_coefficients,
-    extend_coefficients,
     goursat_residuals,
     kernel_eval,
 )
@@ -47,9 +47,7 @@ from .solution import (
     IvpSolution,
     NsbfEvaluator,
     build_evaluator,
-    evaluate_dU_dlambda,
     evaluate_U,
-    evaluate_U_nodes,
     solve_ivp,
 )
 from .special import (
@@ -63,7 +61,6 @@ from .spectral import (
     EigenvalueRecord,
     ScanOptions,
     char_function,
-    char_function_derivative,
     refine_root,
     scan_eigenvalues,
 )
@@ -72,7 +69,6 @@ from .zs import (
     ZsPotential,
     build_zs_evaluator,
     evaluate_Z,
-    evaluate_Z_nodes,
     zs_ode_residual,
     zs_to_dirac,
 )

@@ -53,7 +53,7 @@ from .kernel import (
     build_coefficients,
     goursat_residuals,
 )
-from .solution import build_evaluator, evaluate_dU_dlambda, evaluate_U, solve_ivp
+from .solution import build_evaluator, evaluate_U, solve_ivp
 from .spectral import BoundaryCondition, ScanOptions, scan_eigenvalues
 from .zs import ZsPotential, zs_to_dirac
 
@@ -79,7 +79,7 @@ _KEYS = {
 # Names the arithmetic of the coefficient build (propagator, recursion,
 # guard); change it whenever a build would no longer reproduce cached
 # coefficients bit for bit, so that no stale cache file is served.
-_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b"
+_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b/auto-unguarded"
 
 
 class ConfigError(Exception):
@@ -403,30 +403,17 @@ def cmd_kernel(problem, args):
     res = goursat_residuals(coeffs)
     print("%d,%s,%s" % (coeffs.N, _fmt(res.sup_Q_outer), _fmt(res.sup_0_outer)))
     if args.oracle == "mapping":
-        from .formal_powers import (
-            build_formal_powers,
-            build_particular_solution,
-            kernel_coeffs_via_mapping,
-            sign_calibration,
-        )
-        from .special import LEGENDRE_DEGREE_CAP, legendre_monomial_coeffs
+        from .formal_powers import mapped_coefficients, sign_calibration
+        from .special import LEGENDRE_DEGREE_CAP
 
         n_map = min(coeffs.N, LEGENDRE_DEGREE_CAP)
-        ps = build_particular_solution(problem.potential, coeffs.hom)
-        fp = build_formal_powers(ps, problem.potential, n_map)
-        table = legendre_monomial_coeffs(n_map)
-        mapped = [
-            kernel_coeffs_via_mapping(fp, ps, n, table) for n in range(n_map + 1)
-        ]
+        mapped = mapped_coefficients(problem.potential, coeffs.hom, n_map)
         map_path = problem.out + "_coeffs_mapping.csv"
         map_orders = [-1] + list(range(n_map + 1))
         _write_coeff_csv(
-            map_path, problem.grid, [-mapped[0]] + mapped, map_orders
+            map_path, problem.grid, np.concatenate((-mapped[:1], mapped)), map_orders
         )
-        diff = max(
-            float(np.max(np.abs(mapped[n] - coeffs.coeff(n))))
-            for n in range(n_map + 1)
-        )
+        diff = float(np.max(np.abs(mapped - coeffs.coeffs[: n_map + 1])))
         cal = sign_calibration()
         print("mapping oracle written to %s" % map_path)
         print(
@@ -577,24 +564,18 @@ def _run_checks(problem):
         1e-13,
     )
     # recursion vs mapping, small orders
-    from .formal_powers import (
-        build_formal_powers,
-        build_particular_solution,
-        kernel_coeffs_via_mapping,
-    )
+    from .formal_powers import mapped_coefficients
     from .special import legendre_monomial_coeffs
 
     n_map = min(8, N)
-    ps = build_particular_solution(Q, hom)
-    fp = build_formal_powers(ps, Q, n_map)
+    mapped = mapped_coefficients(Q, hom, n_map)
     table = legendre_monomial_coeffs(n_map)
     eta_scale = np.sqrt(2.0 * grid.size)
     eps = np.finfo(float).eps
     worst = 0.0
     for n in range(n_map + 1):
         ref = coeffs.coeff(n)
-        alt = kernel_coeffs_via_mapping(fp, ps, n, table)
-        num = np.sqrt(np.sum(np.abs(alt - ref) ** 2))
+        num = np.sqrt(np.sum(np.abs(mapped[n] - ref) ** 2))
         den = np.sqrt(np.sum(np.abs(ref) ** 2))
         # conditioning floor of the monomial-basis assembly; the 200x
         # margin absorbs the quadrature component on coarse grids
@@ -606,7 +587,8 @@ def _run_checks(problem):
     worst = 0.0
     for lam, x in ((0.0, grid.b), (2.5, 0.5 * grid.b), (-11.0, grid.b)):
         fd = (evaluate_U(ev, lam + 1e-5, x) - evaluate_U(ev, lam - 1e-5, x)) / 2e-5
-        worst = max(worst, np.max(np.abs(evaluate_dU_dlambda(ev, lam, x) - fd)))
+        dU = evaluate_U(ev, lam, x, derivative=True)[1]
+        worst = max(worst, np.max(np.abs(dU - fd)))
     record("derivative_vs_fd", worst, 1e-6)
     return checks
 

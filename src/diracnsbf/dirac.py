@@ -136,17 +136,11 @@ class Potential:
             cubic_interp(self.grid, self.q, x),
         )
 
-    @property
-    def is_real(self):
-        return bool(
-            np.all(np.abs(self.p.imag) == 0) and np.all(np.abs(self.q.imag) == 0)
-        )
-
 
 def free_solution(lam, x):
     """Free fundamental matrix [[cos lx, -sin lx], [sin lx, cos lx]].
 
-    x may be scalar or array; the result has shape x.shape + (2, 2).
+    lam and x broadcast; the result has the broadcast shape + (2, 2).
     """
     z = np.asarray(lam * np.asarray(x), dtype=complex)
     c, s = np.cos(z), np.sin(z)
@@ -161,8 +155,7 @@ def free_solution(lam, x):
 def free_solution_dlambda(lam, x):
     """d/dlambda of the free solution, closed form.
 
-    lam or x may be an array (not both); the result has the broadcast
-    shape + (2, 2).
+    lam and x broadcast; the result has the broadcast shape + (2, 2).
     """
     z = np.asarray(lam * np.asarray(x), dtype=complex)
     c, s = np.cos(z), np.sin(z)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import I2, apply_A, fundamental_solution_zero
+from .dirac import I2, fundamental_solution_zero
 from .grid import indefinite_integral, indefinite_integral_weighted
 from .kernel import sanitize_cells
 from .special import legendre_monomial_coeffs
@@ -41,6 +41,7 @@ __all__ = [
     "build_formal_powers",
     "phi_psi",
     "kernel_coeffs_via_mapping",
+    "mapped_coefficients",
     "sign_calibration",
 ]
 
@@ -282,8 +283,14 @@ def kernel_coeffs_via_mapping(fp, ps, n, table=None):
     return out
 
 
-def mapping_residual(fp, ps, Q, k=0):
-    """FD residual of B Phi_k' + Q Phi_k for k = 0 (a lambda = 0 solution)."""
-    phi, _ = phi_psi(fp, ps, k)
-    r = apply_A(Q.grid, phi, Q)
-    return float(np.max(np.linalg.norm(r[1:-1], axis=1)))
+def mapped_coefficients(Q, hom, N):
+    """C_0..C_N by the mapping route alone, shape (N + 1, M + 1, 2, 2).
+
+    Builds the particular solution from hom = U(0, x), the formal powers
+    up to order N and the Legendre monomial table, then assembles every
+    order with kernel_coeffs_via_mapping.
+    """
+    ps = build_particular_solution(Q, hom)
+    fp = build_formal_powers(ps, Q, N)
+    table = legendre_monomial_coeffs(N)
+    return np.stack([kernel_coeffs_via_mapping(fp, ps, n, table) for n in range(N + 1)])

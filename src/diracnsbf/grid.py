@@ -23,6 +23,7 @@ __all__ = [
     "differentiate",
     "scale_by_nodes",
     "cubic_interp",
+    "families_at",
     "check_same_grid",
     "BLOCK",
 ]
@@ -257,4 +258,22 @@ def cubic_interp(grid, values, x):
             if m != j:
                 w *= (s - m) / (j - m)
         out += w.reshape(w.shape + (1,) * (values.ndim - 1)) * values[i0 + j]
+    return out
+
+
+def families_at(grid, values, x):
+    """Order-major families values (K, M + 1, ...) at the points x.
+
+    x must lie in [0, b].  The result has shape (K,) + x.shape +
+    values.shape[2:].  A point on a node takes that node's row exactly;
+    the other points share one cubic_interp across all K families.
+    """
+    x = np.asarray(x, dtype=float)
+    t = x / grid.h
+    i = np.rint(t).astype(int)
+    on = np.abs(t - i) < 1e-9
+    out = np.take(values, np.where(on, i, 0), axis=1)
+    if not on.all():
+        off = cubic_interp(grid, np.moveaxis(values, 0, 1), x[~on])
+        out[:, ~on] = np.moveaxis(off, 0, 1)
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirac import I2, _b_left, _b_right, apply_S, matrix_norm
-from .grid import cubic_interp, scale_by_nodes
+from .grid import families_at, scale_by_nodes
 from .special import legendre_seq
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "GoursatResiduals",
     "TruncationReport",
     "build_coefficients",
-    "extend_coefficients",
     "kernel_eval",
     "goursat_residuals",
     "auto_truncation",
@@ -175,25 +174,26 @@ def build_coefficients(Q, hom, N):
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    grid = Q.grid
-    K = np.zeros((N + 2, grid.size, 2, 2), dtype=complex)
-    K[1] = 0.5 * (hom.U - I2)
-    K[0] = -K[1]
-    for n in range(1, N + 1):
-        _recursion_step(K, n, Q, hom)
-    return _finalize(Q, hom, N, K)
+    return _finalize(Q, hom, N, _recurse(Q, hom, N))
 
 
-def extend_coefficients(coeffs, N_new):
-    """Continue the recursion of an existing family up to N_new."""
-    if N_new <= coeffs.N:
-        return coeffs
-    grid = coeffs.grid
-    K = np.zeros((N_new + 2, grid.size, 2, 2), dtype=complex)
-    K[: coeffs.N + 2] = coeffs.K
-    for n in range(coeffs.N + 1, N_new + 1):
-        _recursion_step(K, n, coeffs.potential, coeffs.hom)
-    return _finalize(coeffs.potential, coeffs.hom, N_new, K)
+def _recurse(Q, hom, N, K=None):
+    """Unguarded C_-1..C_N, continuing the unguarded orders K when given.
+
+    Every order depends only on the two unguarded orders before it, so a
+    continued family equals a direct one bit for bit.
+    """
+    out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=complex)
+    if K is None:
+        out[1] = 0.5 * (hom.U - I2)
+        out[0] = -out[1]
+        start = 1
+    else:
+        out[: len(K)] = K
+        start = len(K) - 1
+    for n in range(start, N + 1):
+        _recursion_step(out, n, Q, hom)
+    return out
 
 
 def sanitize_cells(n, M):
@@ -234,7 +234,8 @@ def kernel_eval(coeffs, x, t):
     """Truncated kernel K^N(x, t) = sum_n x^{-1} C_n(x) P_n(t/x).
 
     x in (0, b], |t| <= x; off-grid x uses piecewise-cubic interpolation
-    of the coefficient functions (diagnostic accuracy class).
+    of the coefficient functions, one call across all orders (diagnostic
+    accuracy class).
     """
     x = float(x)
     if not 0.0 < x <= coeffs.grid.b * (1 + 1e-12):
@@ -242,9 +243,7 @@ def kernel_eval(coeffs, x, t):
     t = float(t)
     if abs(t) > x * (1 + 1e-12):
         raise ValueError("|t| must not exceed x")
-    Kx = np.stack(
-        [cubic_interp(coeffs.grid, coeffs.coeff(n), x)[0] for n in range(coeffs.N + 1)]
-    )
+    Kx = families_at(coeffs.grid, coeffs.coeffs, x)
     P = legendre_seq(np.clip(t / x, -1.0, 1.0), coeffs.N)
     return np.einsum("n,nij->ij", P, Kx) / x
 
@@ -308,18 +307,6 @@ def _probe_schedule(n_max):
     return sorted({min(p, n_max) for p in probes})
 
 
-def _truncate(coeffs, N):
-    if N == coeffs.N:
-        return coeffs
-    return KernelCoefficients(
-        grid=coeffs.grid,
-        potential=coeffs.potential,
-        hom=coeffs.hom,
-        N=N,
-        K=coeffs.K[: N + 2].copy(),
-    )
-
-
 def auto_truncation(Q, hom, tol, N_max=128):
     """Smallest truncation order whose Goursat residuals meet tol.
 
@@ -327,26 +314,25 @@ def auto_truncation(Q, hom, tol, N_max=128):
     Residuals are evaluated along a geometric probe schedule (they cost
     O(N M) each); once a probe passes, the cheap per-order profile of the
     already-built family locates the smallest sufficient order exactly.
+    Each probe continues the unguarded recursion of the previous one, so
+    the result equals build_coefficients at the chosen order bit for bit,
+    whatever the schedule.
     Returns (coefficients, report); report.converged is False when even
     N_max misses the tolerance.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    probes = _probe_schedule(N_max)
-    coeffs = None
+    K = None
     report_probes = []
-    for Np in probes:
-        coeffs = (
-            build_coefficients(Q, hom, Np)
-            if coeffs is None
-            else extend_coefficients(coeffs, Np)
-        )
+    for Np in _probe_schedule(N_max):
+        K = _recurse(Q, hom, Np, K)
+        coeffs = _finalize(Q, hom, Np, K)
         sup_Q, sup_0 = _residual_profile(coeffs)
         report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
         level = np.maximum(sup_Q, sup_0)
         if level[Np] <= tol:
             n_best = int(np.argmax(level <= tol))
-            return _truncate(coeffs, n_best), TruncationReport(
+            return _finalize(Q, hom, n_best, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
     return coeffs, TruncationReport(

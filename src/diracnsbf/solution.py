@@ -9,7 +9,9 @@ where the folded coefficients Kt absorb the parity signs and the B factor
 of the odd terms (Kt_n = 2 (-1)^(n/2) C_n for even n and
 2 (-1)^((n+1)/2) C_n B for odd n).  The lambda-derivative follows from the
 Bessel derivative identities and is assembled from j_n(z) and j_n(z)/z so
-that lambda = 0 needs no limit handling anywhere.
+that lambda = 0 needs no limit handling anywhere.  `evaluate_U` is the one
+evaluator: lambda and x broadcast against each other, and every point
+shares one Bessel pass.
 """
 
 from dataclasses import dataclass
@@ -17,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import (
-    B_MAT,
+    _b_right,
     dirac_residual_nodes,
     free_solution,
     free_solution_dlambda,
 )
-from .grid import cubic_interp
+from .grid import families_at
 from .special import bessel_pair_batch
 
 __all__ = [
@@ -30,9 +32,6 @@ __all__ = [
     "IvpSolution",
     "build_evaluator",
     "evaluate_U",
-    "evaluate_U_end",
-    "evaluate_U_nodes",
-    "evaluate_dU_dlambda",
     "solve_ivp",
 ]
 
@@ -74,88 +73,53 @@ class IvpSolution:
 
 def build_evaluator(coeffs):
     """Fold parity signs and the B factor into per-order coefficients."""
-    N = coeffs.N
-    Kt = np.empty((N + 1,) + coeffs.coeff(0).shape, dtype=complex)
-    for n in range(N + 1):
-        if n % 2 == 0:
-            Kt[n] = 2.0 * (-1.0) ** (n // 2) * coeffs.coeff(n)
-        else:
-            Kt[n] = 2.0 * (-1.0) ** ((n + 1) // 2) * (coeffs.coeff(n) @ B_MAT)
+    n = np.arange(coeffs.N + 1)
+    Kt = coeffs.coeffs.astype(complex)
+    Kt[1::2] = _b_right(Kt[1::2])
+    Kt *= (2.0 * (-1.0) ** ((n + 1) // 2))[:, None, None, None]
     return NsbfEvaluator(coeffs=coeffs, Ktilde=Kt)
 
 
-def _coeffs_at(ev, x):
-    """Folded coefficients at one x: node row or cubic interpolation."""
-    grid = ev.grid
-    t = x / grid.h
-    i = int(round(t))
-    if abs(t - i) < 1e-9 and 0 <= i <= grid.M:
-        return ev.Ktilde[:, i]
-    vals = np.empty((ev.N + 1, 2, 2), dtype=complex)
-    for n in range(ev.N + 1):
-        vals[n] = cubic_interp(grid, ev.Ktilde[n], x)[0]
-    return vals
+def evaluate_U(ev, lam, x, derivative=False):
+    """U^N(lambda, x), and dU^N/dlambda with derivative=True.
 
-
-def _point_values(ev, lams, x):
-    """U^N(lambda, x) and dU^N/dlambda(lambda, x) for a 1-D array of lambdas.
-
-    Both come from one batched Bessel pass, since j_n(z) and j_n(z)/z are
-    generated together.  Per order the derivative weights are
+    lam and x broadcast against each other (0 <= x <= b); each result has
+    the broadcast shape + (2, 2).  All points share one Bessel pass, since
+    j_n(z) and j_n(z)/z are generated together.  Per order the derivative
+    weights are
         even n:  x (n j_n(z)/z - j_{n+1}(z))
         odd n:   x (j_{n-1}(z) - (n+1) j_n(z)/z)
     with z = lambda x; the j_n(z)/z factors are exact at z = 0, so the
-    apparent 1/lambda singularity never materializes.  Each result has
-    shape (len(lams), 2, 2).
+    apparent 1/lambda singularity never materializes.  Off-grid x takes
+    piecewise-cubic interpolation of the folded coefficients.
     """
-    x = float(x)
-    if not 0.0 <= x <= ev.b * (1 + 1e-12):
+    lam = np.asarray(lam)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > ev.b * (1 + 1e-12)):
         raise ValueError("x outside [0, b]")
-    lams = np.asarray(lams, dtype=complex)
-    Kt = _coeffs_at(ev, x)
     N = ev.N
-    jn, jz = bessel_pair_batch(lams * x, N + 1)
-    n = np.arange(N + 1)[:, None]
+    z = lam * x
+    shape = (N + 2,) + z.shape
+    jn, jz = (a.reshape(shape) for a in bessel_pair_batch(z.ravel(), N + 1))
+    Kt = families_at(ev.grid, ev.Ktilde, x)
+    U = free_solution(lam, x) + np.einsum("n...,n...ij->...ij", jn[: N + 1], Kt)
+    if not derivative:
+        return U
+    n = np.arange(N + 1).reshape((N + 1,) + (1,) * z.ndim)
     prev = np.concatenate((np.zeros_like(jn[:1]), jn[:N]))
     w = np.where(
         n % 2 == 0,
         x * (n * jz[: N + 1] - jn[1 : N + 2]),
         x * (prev - (n + 1) * jz[: N + 1]),
     )
-    U = free_solution(lams, x) + np.einsum("nm,nij->mij", jn[: N + 1], Kt)
-    dU = free_solution_dlambda(lams, x) + np.einsum("nm,nij->mij", w, Kt)
+    dU = free_solution_dlambda(lam, x) + np.einsum("n...,n...ij->...ij", w, Kt)
     return U, dU
-
-
-def evaluate_U(ev, lam, x):
-    """U^N(lambda, x) at a single point, 0 <= x <= b."""
-    return _point_values(ev, [lam], x)[0][0]
-
-
-def evaluate_dU_dlambda(ev, lam, x):
-    """d/dlambda of U^N(lambda, x) at a single point, finite at lambda = 0."""
-    return _point_values(ev, [lam], x)[1][0]
-
-
-def evaluate_U_end(ev, lams):
-    """U^N(lambda, b) and dU^N/dlambda(lambda, b) for a 1-D array of lambdas,
-    from one batched Bessel pass; each has shape (len(lams), 2, 2)."""
-    return _point_values(ev, lams, ev.b)
-
-
-def evaluate_U_nodes(ev, lam):
-    """U^N(lambda, x_i) on every grid node, vectorized over the nodes."""
-    x = ev.grid.nodes
-    jn, _ = bessel_pair_batch(lam * x, ev.N + 1)
-    out = free_solution(lam, x)
-    out += np.einsum("nm,nmij->mij", jn[: ev.N + 1], ev.Ktilde)
-    return out
 
 
 def solve_ivp(ev, lam, c):
     """Initial-value solution Y(lambda, x_i) = U^N(lambda, x_i) c."""
     c = np.asarray(c, dtype=complex).reshape(2)
-    U = evaluate_U_nodes(ev, lam)
+    U = evaluate_U(ev, lam, ev.grid.nodes)
     Y = U @ c
     resid = dirac_residual_nodes(Y, ev.coeffs.potential, lam)
     return IvpSolution(lam=complex(lam), c=c, Y=Y, residual_nodes=resid)

@@ -17,14 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solution import evaluate_U_end
+from .solution import evaluate_U
 
 __all__ = [
     "BoundaryCondition",
     "EigenvalueRecord",
     "ScanOptions",
     "char_function",
-    "char_function_derivative",
     "refine_root",
     "scan_eigenvalues",
 ]
@@ -35,16 +34,16 @@ class BoundaryCondition:
     """Coefficient blocks of A_left Y(0) + A_right Y(b) = 0.
 
     Each block is a constant 2x2 array or a callable lambda -> 2x2 (entire
-    functions of the spectral parameter are allowed); optional derivative
-    callables enable Newton refinement for lambda-dependent blocks.
+    functions of the spectral parameter are allowed).  With constant
+    blocks the characteristic function comes with its lambda-derivative
+    and refinement takes Newton steps; a lambda-dependent block gives no
+    derivative, and refinement takes false-position steps instead.
     self_adjoint=True asserts a real characteristic function on the real
     axis and turns a violation into a diagnostic.
     """
 
     left: object
     right: object
-    left_deriv: object = None
-    right_deriv: object = None
     self_adjoint: bool = None
 
     @classmethod
@@ -62,29 +61,9 @@ class BoundaryCondition:
             return np.asarray(blk(lam), dtype=complex)
         return np.asarray(blk, dtype=complex)
 
-    def block_deriv(self, which, lam):
-        blk = self.left if which == "left" else self.right
-        if not callable(blk):
-            return np.zeros((2, 2), dtype=complex)
-        hook = self.left_deriv if which == "left" else self.right_deriv
-        if hook is None:
-            return None
-        return np.asarray(hook(lam), dtype=complex)
-
     @property
     def is_constant(self):
         return not (callable(self.left) or callable(self.right))
-
-    @property
-    def has_derivative(self):
-        """False when a lambda-dependent block lacks its derivative hook."""
-        return all(
-            not callable(blk) or hook is not None
-            for blk, hook in (
-                (self.left, self.left_deriv),
-                (self.right, self.right_deriv),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -99,39 +78,44 @@ class EigenvalueRecord:
 @dataclass(frozen=True)
 class ScanOptions:
     step: float = None  # default pi / (10 b)
-    refine_rtol: float = 1e-13
     max_iter: int = 80
-    minimum_ratio: float = 1e-3  # |Delta| local-min bracket threshold
-    dedupe_fraction: float = 0.25
+
+
+# Default refinement tolerance of a local-minimum polish, relative to the
+# median |Delta| on the scan grid.
+_REFINE_RTOL = 1e-13
+# A local minimum of |Delta| below this fraction of the median is polished.
+_MINIMUM_RATIO = 1e-3
+# Roots closer than this fraction of the scan step are one root.
+_DEDUPE_FRACTION = 0.25
 
 
 def _det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _delta_and_slope(ev, bc, lams):
-    """Delta and d Delta / d lambda over a 1-D array of lambda.
+def char_function(ev, bc, lams):
+    """Delta(lambda) = det(A_left + A_right U^N(lambda, b)) and its slope.
 
-    U and dU/dlambda at x = b come from one batched Bessel pass; blocks
-    that depend on lambda are evaluated per lambda.  The slope is None
-    when such a block lacks a derivative hook.  d(det M) expands exactly
-    in cofactors for 2x2 matrices (equivalent to Jacobi's formula, with no
-    conditioning caveat at singular M).
+    lams may be a scalar or an array of any shape, complex values
+    included; delta and slope have its shape, from one Bessel pass.  The
+    slope d Delta / d lambda is None when a block depends on lambda.
+    d(det M) expands exactly in cofactors for 2x2 matrices (equivalent to
+    Jacobi's formula, with no conditioning caveat at singular M).
     """
-    lams = np.asarray(lams, dtype=complex)
-    U, dU = evaluate_U_end(ev, lams)
+    lams = np.asarray(lams)
+    if not bc.is_constant:
+        U = evaluate_U(ev, lams, ev.b)
 
-    def stack(get, which):
-        if bc.is_constant:
-            return get(which, 0.0)
-        return np.array([get(which, lam) for lam in lams])
+        def stack(which):
+            blocks = [bc.block(which, lam) for lam in lams.ravel()]
+            return np.array(blocks).reshape(lams.shape + (2, 2))
 
-    R = stack(bc.block, "right")
-    M = stack(bc.block, "left") + R @ U
-    if not bc.has_derivative:
-        return _det2(M), None
-    dL, dR = stack(bc.block_deriv, "left"), stack(bc.block_deriv, "right")
-    dM = dL + dR @ U + R @ dU
+        return _det2(stack("left") + stack("right") @ U), None
+    U, dU = evaluate_U(ev, lams, ev.b, derivative=True)
+    R = bc.block("right", 0.0)
+    M = bc.block("left", 0.0) + R @ U
+    dM = R @ dU
     slope = (
         dM[..., 0, 0] * M[..., 1, 1]
         + M[..., 0, 0] * dM[..., 1, 1]
@@ -139,23 +123,6 @@ def _delta_and_slope(ev, bc, lams):
         - M[..., 0, 1] * dM[..., 1, 0]
     )
     return _det2(M), slope
-
-
-def char_function(ev, bc, lam):
-    """Delta(lambda) = det(A_left + A_right U^N(lambda, b))."""
-    return complex(char_function_batch(ev, bc, [lam])[0])
-
-
-def char_function_batch(ev, bc, lams):
-    """Vectorized Delta over an array of lambda."""
-    return _delta_and_slope(ev, bc, lams)[0]
-
-
-def char_function_derivative(ev, bc, lam):
-    """d Delta / d lambda, or None when a lambda-dependent block lacks
-    a derivative hook."""
-    slope = _delta_and_slope(ev, bc, [lam])[1]
-    return None if slope is None else complex(slope[0])
 
 
 def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
@@ -206,7 +173,7 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
         rows = active.copy()
         moved = np.abs(new - lam)
         lam[rows] = new[rows]
-        delta, slope = _delta_and_slope(ev, bc, lam[rows])
+        delta, slope = char_function(ev, bc, lam[rows])
         f[rows] = delta.real
         df[rows] = np.nan if slope is None else slope.real
         lower = rows & bracketed & (np.sign(f) == np.sign(fa))
@@ -264,13 +231,14 @@ def refine_root(ev, bc, bracket, tol=None, max_iter=80, trust_radius=None):
     converged=False once the iterates leave the trust radius (default
     pi/b, one asymptotic eigenvalue gap) rather than report a far-away
     root.  An endpoint or start already satisfying |Delta| <= tol counts
-    as converged with zero iterations.  Falls back to false-position steps
-    when a lambda-dependent block has no derivative hook.  This is the
-    one-row case of the lockstep refinement the scan runs.
+    as converged with zero iterations.  A lambda-dependent block gives no
+    slope: a bracket is then refined by false-position steps alone, and a
+    bare start is returned unconverged.  This is the one-row case of the
+    lockstep refinement the scan runs.
     """
     if np.ndim(bracket) != 0:
         ends = np.array([float(np.real(t)) for t in bracket])
-        fa, fb = char_function_batch(ev, bc, ends).real
+        fa, fb = char_function(ev, bc, ends)[0].real
         row = (ends[0], ends[1], fa, fb)
     else:
         start = float(np.real(bracket))
@@ -294,15 +262,15 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
     """
     npts = max(2, int(np.ceil((lam_max - lam_min) / opts.step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
-    vals = char_function_batch(ev, bc, grid)
+    vals = char_function(ev, bc, grid)[0]
     f = vals.real
     sgn = np.sign(f)
     zero = sgn[:-1] == 0.0
     bra = np.flatnonzero(zero | (sgn[:-1] != sgn[1:]))
     zero = zero[bra]
     mag = np.abs(vals)
-    floor = opts.minimum_ratio * np.median(mag)
-    tol_min = opts.refine_rtol * max(float(np.median(mag)), 1e-300)
+    floor = _MINIMUM_RATIO * np.median(mag)
+    tol_min = _REFINE_RTOL * max(float(np.median(mag)), 1e-300)
     mid = mag[1:-1]
     mins = 1 + np.flatnonzero(
         (mid < mag[:-2])
@@ -351,9 +319,7 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
     opts = options or ScanOptions()
     if opts.step is None:
         opts = replace(opts, step=np.pi / (10.0 * ev.b))
-    probe = char_function_batch(
-        ev, bc, np.linspace(lam_min, lam_max, 101)
-    )
+    probe = char_function(ev, bc, np.linspace(lam_min, lam_max, 101))[0]
     im_level = np.max(np.abs(probe.imag))
     re_scale = max(np.max(np.abs(probe)), 1e-300)
     real = im_level <= 1e-8 * re_scale
@@ -366,7 +332,7 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
     found.sort(key=lambda r: r.lam)
     merged = []
     for rec in found:
-        if merged and abs(rec.lam - merged[-1].lam) < opts.dedupe_fraction * opts.step:
+        if merged and abs(rec.lam - merged[-1].lam) < _DEDUPE_FRACTION * opts.step:
             if rec.residual < merged[-1].residual:
                 merged[-1] = rec
             continue

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import B_MAT, Potential, fundamental_solution_zero
+from .dirac import Potential, _b_right, fundamental_solution_zero
 from .grid import check_same_grid, differentiate
 from .kernel import build_coefficients
-from .solution import build_evaluator, evaluate_U, evaluate_U_nodes
+from .solution import build_evaluator, evaluate_U
 
 __all__ = [
     "A_MAT",
@@ -30,7 +30,6 @@ __all__ = [
     "zs_to_dirac",
     "build_zs_evaluator",
     "evaluate_Z",
-    "evaluate_Z_nodes",
     "zs_series_coefficients",
     "zs_ode_residual",
 ]
@@ -109,12 +108,11 @@ def build_zs_evaluator(zs, N):
 
 
 def evaluate_Z(zev, lam, x):
-    """Z(lambda, x) = A^-1 U(lambda, x) A;  Z(lambda, 0) = I."""
+    """Z(lambda, x) = A^-1 U(lambda, x) A;  Z(lambda, 0) = I.
+
+    lam and x broadcast as in `evaluate_U`.
+    """
     return A_INV @ evaluate_U(zev.inner, lam, x) @ A_MAT
-
-
-def evaluate_Z_nodes(zev, lam):
-    return A_INV @ evaluate_U_nodes(zev.inner, lam) @ A_MAT
 
 
 def zs_series_coefficients(zev):
@@ -124,21 +122,15 @@ def zs_series_coefficients(zev):
     that Z = A^-1 U0 A + sum_n (+-2) (conjugated C_n) j_n(lambda x) with
     the same parity sign pattern as the canonical series.
     """
-    coeffs = zev.inner.coeffs
-    out = np.empty((zev.N + 1, zev.grid.size, 2, 2), dtype=complex)
-    for n in range(zev.N + 1):
-        Kn = coeffs.coeff(n)
-        if n % 2:
-            out[n] = A_INV @ (Kn @ B_MAT) @ A_MAT
-        else:
-            out[n] = A_INV @ Kn @ A_MAT
-    return out
+    K = zev.inner.coeffs.coeffs.astype(complex)
+    K[1::2] = _b_right(K[1::2])
+    return A_INV @ K @ A_MAT
 
 
 def zs_ode_residual(zev, lam):
     """Max interior-node norm of Z' - Q_zs Z - i lambda s3 Z."""
     grid = zev.grid
-    Z = evaluate_Z_nodes(zev, lam)
+    Z = evaluate_Z(zev, lam, grid.nodes)
     dZ = differentiate(grid, Z)
     R = dZ - zev.zs.matrices @ Z - 1j * lam * (SIGMA3 @ Z)
     return float(np.max(np.linalg.matrix_norm(R[1:-1], ord=2)))

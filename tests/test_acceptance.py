@@ -19,12 +19,7 @@ from diracnsbf.formal_powers import (
 from diracnsbf.gauge import diagonal_to_canonical, rotate_boundary_blocks
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
-from diracnsbf.solution import (
-    build_evaluator,
-    evaluate_dU_dlambda,
-    evaluate_U,
-    evaluate_U_nodes,
-)
+from diracnsbf.solution import build_evaluator, evaluate_U
 from diracnsbf.special import legendre_monomial_coeffs
 from diracnsbf.spectral import BoundaryCondition, scan_eigenvalues
 from diracnsbf.zs import ZsPotential, build_zs_evaluator, evaluate_Z, zs_ode_residual
@@ -96,7 +91,7 @@ def const_sweep():
     ev = build_evaluator(build_coefficients(Q, hom, 20))
     per_lam = {}
     for lam in range(-100, 101):
-        U = evaluate_U_nodes(ev, float(lam))
+        U = evaluate_U(ev, float(lam), g.nodes)
         ref = const_q_solution(0.0, 1.0, float(lam), g.nodes)
         per_lam[lam] = float(np.max(np.abs(U - ref)))
     return per_lam, time.perf_counter() - t0
@@ -174,7 +169,7 @@ def test_criterion_05_free_potential_exactness():
     ev = build_evaluator(fam)
     worst_u = 0.0
     for lam in (0.0, 1.0, 17.3, -40.0):
-        U = evaluate_U_nodes(ev, lam)
+        U = evaluate_U(ev, lam, g.nodes)
         worst_u = max(worst_u, float(np.max(np.abs(U - free_solution(lam, g.nodes)))))
     assert worst_u <= 1e-13
     bc = BoundaryCondition.dirichlet()
@@ -210,7 +205,7 @@ def test_criterion_06_lambda_zero_closure(trig_problem):
     )
     for name, fam in cases:
         ev = build_evaluator(fam)
-        U0 = evaluate_U_nodes(ev, 0.0)
+        U0 = evaluate_U(ev, 0.0, g.nodes)
         gap = float(np.max(np.abs(U0 - fam.hom.U)))
         assert gap <= 1e-12, name
         worst = max(worst, gap)
@@ -238,7 +233,7 @@ def test_criterion_08_lambda_derivative(trig_problem):
     pts.append((0.0, 0.8))
     worst = 0.0
     for lam, x in pts:
-        dU = evaluate_dU_dlambda(ev, lam, x)
+        dU = evaluate_U(ev, lam, x, derivative=True)[1]
         fd = central_dlambda(lambda t: evaluate_U(ev, t, x), lam, h=1e-5)
         worst = max(worst, float(np.max(np.abs(dU - fd))))
     assert worst <= 1e-6

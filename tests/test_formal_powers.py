@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from diracnsbf.dirac import Potential, fundamental_solution_zero
+from diracnsbf.dirac import Potential, apply_A, fundamental_solution_zero
 from diracnsbf.formal_powers import (
     build_formal_powers,
     build_particular_solution,
     kernel_coeffs_via_mapping,
-    mapping_residual,
+    mapped_coefficients,
     phi_psi,
     sign_calibration,
 )
@@ -143,8 +143,11 @@ class TestPhiPsi:
         np.testing.assert_allclose(psi[:, 1], np.sinh(x), atol=1e-10)
 
     def test_order_zero_solves_system(self, const_setup):
+        # Phi_0 is a lambda = 0 solution: B Phi_0' + Q Phi_0 = 0
         _, Q, ps, fp = const_setup
-        assert mapping_residual(fp, ps, Q, k=0) < 1e-8
+        phi, _ = phi_psi(fp, ps, 0)
+        r = apply_A(Q.grid, phi, Q)
+        assert np.max(np.linalg.norm(r[1:-1], axis=1)) < 1e-8
 
     def test_out_of_range(self, const_setup):
         _, _, ps, fp = const_setup
@@ -187,8 +190,7 @@ class TestKernelCoeffsViaMapping:
         )
         hom = fundamental_solution_zero(Q)
         fam = build_coefficients(Q, hom, 8)
-        ps = build_particular_solution(Q, hom)
-        fp = build_formal_powers(ps, Q, 8)
+        mapped = mapped_coefficients(Q, hom, 8)
         table = legendre_monomial_coeffs(8)
         eta_scale = np.sqrt(2.0 * g.size)
         family_scale = max(
@@ -197,8 +199,7 @@ class TestKernelCoeffsViaMapping:
         eps = np.finfo(float).eps
         for n in range(9):
             ref = fam.coeff(n)
-            alt = kernel_coeffs_via_mapping(fp, ps, n)
-            num = np.sqrt(np.sum(np.abs(alt - ref) ** 2))
+            num = np.sqrt(np.sum(np.abs(mapped[n] - ref) ** 2))
             den = np.sqrt(np.sum(np.abs(ref) ** 2))
             floor = 50 * eps * (n + 0.5) * np.sum(np.abs(table.coeffs[n])) * eta_scale
             assert num <= max(1e-8 * den, floor), f"n={n}: num={num}, den={den}"

@@ -11,7 +11,6 @@ from diracnsbf.grid import Grid, scale_by_nodes
 from diracnsbf.kernel import (
     auto_truncation,
     build_coefficients,
-    extend_coefficients,
     goursat_residuals,
     kernel_eval,
 )
@@ -108,12 +107,20 @@ class TestBuildCoefficients:
             scale = max(1.0, np.max(np.abs(lhs)))
             assert np.max(np.abs((lhs - rhs)[3:-3])) < 1e-7 * scale
 
-    def test_extend_matches_direct_build(self, const_family):
-        direct = build_coefficients(
-            const_family.potential, const_family.hom, 12
-        )
-        extended = extend_coefficients(const_family, 12)
-        np.testing.assert_allclose(extended.K, direct.K, atol=0)
+    def test_extend_matches_direct_build(self):
+        # auto_truncation continues one recursion across its probes; at
+        # M = 2000 the first nodes are guarded, and a family continued from
+        # guarded orders would differ from a direct build there
+        g = Grid(1.0, 2000)
+        Q = trig_potential(g)
+        hom = fundamental_solution_zero(Q)
+        orders = []
+        for tol in (1e-6, 1e-9, 1e-12):
+            fam, report = auto_truncation(Q, hom, tol)
+            direct = build_coefficients(Q, hom, report.N)
+            np.testing.assert_array_equal(fam.K, direct.K)
+            orders.append(report.N)
+        assert len(set(orders)) == 3
 
     def test_coefficient_decay_smooth(self, trig_family):
         peaks = np.array(
@@ -239,9 +246,12 @@ class TestAutoTruncation:
         # raises the residual floor above 1e-12 and never converges
         g = Grid(1.0, 2000)
         Q = Potential.constant(g, 0.3, 1.0)
-        fam, report = auto_truncation(Q, fundamental_solution_zero(Q), 1e-12)
+        hom = fundamental_solution_zero(Q)
+        fam, report = auto_truncation(Q, hom, 1e-12)
         assert report.converged
         assert report.N == fam.N == 12
+        # the probe schedule (2, 4, 8, 12) leaves no trace in the family
+        np.testing.assert_array_equal(fam.K, build_coefficients(Q, hom, 12).K)
 
     def test_warning_flag_when_unreachable(self):
         g = Grid(1.0, 100)

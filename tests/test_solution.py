@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
+from diracnsbf import solution
 from diracnsbf.dirac import Potential, free_solution, fundamental_solution_zero
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
-from diracnsbf.solution import (
-    build_evaluator,
-    evaluate_dU_dlambda,
-    evaluate_U,
-    evaluate_U_end,
-    evaluate_U_nodes,
-    solve_ivp,
-)
+from diracnsbf.solution import build_evaluator, evaluate_U, solve_ivp
+from diracnsbf.special import bessel_pair_batch
 
 from oracles import central_dlambda, const_q_solution
 
@@ -40,11 +35,11 @@ class TestEvaluateU:
         Q = Potential.zero(g)
         ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 8))
         for lam in (0.0, 3.0, -17.0, 2.0 + 1.0j):
-            U = evaluate_U_nodes(ev, lam)
+            U = evaluate_U(ev, lam, g.nodes)
             np.testing.assert_allclose(U, free_solution(lam, g.nodes), atol=1e-13)
 
     def test_lambda_zero_closure(self, trig_ev):
-        U = evaluate_U_nodes(trig_ev, 0.0)
+        U = evaluate_U(trig_ev, 0.0, trig_ev.grid.nodes)
         assert np.max(np.abs(U - trig_ev.coeffs.hom.U)) < 1e-12
 
     def test_constant_potential_oracle_single(self, const_ev):
@@ -55,7 +50,7 @@ class TestEvaluateU:
     def test_constant_potential_oracle_sweep(self, const_ev):
         g = const_ev.grid
         for lam in (-100.0, -37.0, -1.0, 0.5, 24.0, 99.0):
-            U = evaluate_U_nodes(const_ev, lam)
+            U = evaluate_U(const_ev, lam, g.nodes)
             ref = const_q_solution(0.0, 1.0, lam, g.nodes)
             assert np.max(np.abs(U - ref)) < 1e-8, lam
 
@@ -63,7 +58,7 @@ class TestEvaluateU:
         g = const_ev.grid
         errs = {}
         for lam in (-95.0, -10.0, -3.0, 3.0, 10.0, 95.0):
-            U = evaluate_U_nodes(const_ev, lam)
+            U = evaluate_U(const_ev, lam, g.nodes)
             ref = const_q_solution(0.0, 1.0, lam, g.nodes)
             errs[lam] = np.max(np.abs(U - ref))
         small = max(v for k, v in errs.items() if abs(k) <= 10)
@@ -78,11 +73,11 @@ class TestEvaluateU:
         g = const_ev.grid
         real_err = 0.0
         for lam in (1.0, 5.0, 10.0):
-            U = evaluate_U_nodes(const_ev, lam)
+            U = evaluate_U(const_ev, lam, g.nodes)
             ref = const_q_solution(0.0, 1.0, lam, g.nodes)
             real_err = max(real_err, np.max(np.abs(U - ref)))
         for sigma in (1.0, 5.0, 10.0):
-            U = evaluate_U_nodes(const_ev, 1j * sigma)
+            U = evaluate_U(const_ev, 1j * sigma, g.nodes)
             ref = const_q_solution(0.0, 1.0, 1j * sigma, g.nodes)
             err = np.max(np.abs(U - ref))
             envelope = (np.exp(sigma * g.b) - 1.0) / sigma
@@ -104,7 +99,7 @@ class TestEvaluateU:
         assert defects[2] <= 10.0 * max(res.sup_Q_outer, res.sup_0_outer)
 
     def test_realness(self, trig_ev):
-        U = evaluate_U_nodes(trig_ev, 4.0)
+        U = evaluate_U(trig_ev, 4.0, trig_ev.grid.nodes)
         assert np.max(np.abs(U.imag)) < 1e-12
 
     def test_off_grid_interpolation(self, const_ev):
@@ -113,9 +108,20 @@ class TestEvaluateU:
         ref = const_q_solution(0.0, 1.0, 5.0, x)
         assert np.max(np.abs(U - ref)) < 1e-7
 
+    def test_nodes_take_the_node_rows(self, trig_ev):
+        # on-grid points use the folded coefficients of their node exactly
+        lam, nodes = 25.0, trig_ev.grid.nodes
+        jn, _ = bessel_pair_batch(lam * nodes, trig_ev.N + 1)
+        ref = free_solution(lam, nodes) + np.einsum(
+            "nm,nmij->mij", jn[: trig_ev.N + 1], trig_ev.Ktilde
+        )
+        np.testing.assert_array_equal(evaluate_U(trig_ev, lam, nodes), ref)
+
     def test_domain_check(self, const_ev):
         with pytest.raises(ValueError):
             evaluate_U(const_ev, 1.0, 1.5)
+        with pytest.raises(ValueError):
+            evaluate_U(const_ev, np.array([1.0, 2.0]), np.array([0.5, -0.1]))
 
 
 class TestDerivative:
@@ -124,7 +130,7 @@ class TestDerivative:
         Q = Potential.zero(g)
         ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 8))
         lam, x = 2.5, 0.8
-        dU = evaluate_dU_dlambda(ev, lam, x)
+        dU = evaluate_U(ev, lam, x, derivative=True)[1]
         z = lam * x
         expect = np.array(
             [
@@ -139,12 +145,12 @@ class TestDerivative:
         pts = [(rng.uniform(-20, 20), rng.uniform(0.1, 1.0)) for _ in range(19)]
         pts.append((0.0, 0.7))
         for lam, x in pts:
-            dU = evaluate_dU_dlambda(trig_ev, lam, x)
+            dU = evaluate_U(trig_ev, lam, x, derivative=True)[1]
             fd = central_dlambda(lambda t: evaluate_U(trig_ev, t, x), lam, h=1e-5)
             assert np.max(np.abs(dU - fd)) < 1e-6, (lam, x)
 
     def test_finite_at_lambda_zero(self, trig_ev):
-        dU = evaluate_dU_dlambda(trig_ev, 0.0, 1.0)
+        dU = evaluate_U(trig_ev, 0.0, 1.0, derivative=True)[1]
         assert np.all(np.isfinite(dU))
         fd = (
             evaluate_U(trig_ev, 1e-4, 1.0) - evaluate_U(trig_ev, -1e-4, 1.0)
@@ -153,14 +159,59 @@ class TestDerivative:
 
     def test_batched_end_matches_pointwise(self, trig_ev):
         # the one-pass (U, dU) at x = b used by the eigenvalue scan against
-        # the single-point evaluators
+        # single-point calls, each with a Bessel pass of its own
         lams = np.array([0.0, 1e-3, -0.4, 2.5, -37.0, 180.0, 3.0 + 1.0j])
-        U, dU = evaluate_U_end(trig_ev, lams)
+        U, dU = evaluate_U(trig_ev, lams, trig_ev.b, derivative=True)
         for k, lam in enumerate(lams):
-            ref_U = evaluate_U(trig_ev, lam, trig_ev.b)
-            ref_dU = evaluate_dU_dlambda(trig_ev, lam, trig_ev.b)
+            ref_U, ref_dU = evaluate_U(trig_ev, lam, trig_ev.b, derivative=True)
             np.testing.assert_allclose(U[k], ref_U, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dU[k], ref_dU, rtol=0, atol=1e-11)
+
+
+def _elementwise_bessel(z, n_max):
+    """bessel_pair_batch one argument at a time.
+
+    The engine's Miller start follows the largest |z| of its batch, so a
+    batch and a single call agree only to rounding at such arguments;
+    with this stand-in the evaluator itself must agree bit for bit.
+    """
+    pairs = [bessel_pair_batch(np.array([zk]), n_max) for zk in z]
+    return tuple(np.concatenate([p[i] for p in pairs], axis=1) for i in (0, 1))
+
+
+class TestBroadcast:
+    """One call over many points equals one call per point, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def elementwise_bessel(self, monkeypatch):
+        monkeypatch.setattr(solution, "bessel_pair_batch", _elementwise_bessel)
+
+    @staticmethod
+    def assert_elementwise(ev, lam, x):
+        U, dU = evaluate_U(ev, lam, x, derivative=True)
+        lam_b, x_b = np.broadcast_arrays(lam, x)
+        assert U.shape == dU.shape == lam_b.shape + (2, 2)
+        for k in np.ndindex(lam_b.shape):
+            ref_U, ref_dU = evaluate_U(ev, lam_b[k], x_b[k], derivative=True)
+            np.testing.assert_array_equal(U[k], ref_U)
+            np.testing.assert_array_equal(dU[k], ref_dU)
+
+    def test_lambda_array_at_scalar_x(self, trig_ev):
+        lams = np.array([0.0, 1e-3, -0.4, 2.5, -37.0, 180.0, 3.0 + 1.0j, 400.0])
+        self.assert_elementwise(trig_ev, lams, trig_ev.b)
+        self.assert_elementwise(trig_ev, lams, 0.61237)
+
+    def test_scalar_lambda_at_nodes(self, trig_ev):
+        nodes = trig_ev.grid.nodes[::37]
+        for lam in (0.0, 25.0, -7.5, 390.0 + 1.0j):
+            self.assert_elementwise(trig_ev, lam, nodes)
+
+    def test_mixed_on_and_off_grid_points(self, trig_ev):
+        h = trig_ev.grid.h
+        x = np.array([0.0, 0.5 * h, 3 * h, 0.61237, 0.5, 1.0 - 0.3 * h, 1.0])
+        self.assert_elementwise(trig_ev, 12.5, x)
+        # a lambda column against an x row broadcasts to a table
+        self.assert_elementwise(trig_ev, np.array([[-3.0], [40.0 + 0.5j]]), x)
 
 
 class TestSolveIvp:

@@ -11,8 +11,6 @@ from diracnsbf.spectral import (
     BoundaryCondition,
     ScanOptions,
     char_function,
-    char_function_batch,
-    char_function_derivative,
     refine_root,
     scan_eigenvalues,
 )
@@ -41,37 +39,32 @@ class TestCharFunction:
     def test_trivial_no_eigenvalues(self, free_ev):
         bc = BoundaryCondition(left=np.eye(2), right=np.zeros((2, 2)))
         for lam in (0.0, 2.5, -11.0):
-            assert char_function(free_ev, bc, lam) == pytest.approx(1.0, abs=1e-14)
-        assert char_function_derivative(free_ev, bc, 1.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+            assert char_function(free_ev, bc, lam)[0] == pytest.approx(1.0, abs=1e-14)
+        assert char_function(free_ev, bc, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_free_dirichlet_is_minus_sine(self, free_ev):
         bc = BoundaryCondition.dirichlet()
         for lam in (0.3, 2.0, -7.7, 19.0):
-            assert char_function(free_ev, bc, lam) == pytest.approx(
-                -np.sin(lam), abs=1e-12
-            )
-            assert char_function_derivative(free_ev, bc, lam) == pytest.approx(
-                -np.cos(lam), abs=1e-11
-            )
+            delta, slope = char_function(free_ev, bc, lam)
+            assert delta == pytest.approx(-np.sin(lam), abs=1e-12)
+            assert slope == pytest.approx(-np.cos(lam), abs=1e-11)
 
     def test_batch_matches_scalar(self, const_ev):
         bc = BoundaryCondition.dirichlet()
         lams = np.linspace(-5, 5, 23)
-        batch = char_function_batch(const_ev, bc, lams)
-        single = [char_function(const_ev, bc, l) for l in lams]
-        np.testing.assert_allclose(batch, single, atol=1e-13)
+        batch = char_function(const_ev, bc, lams)
+        single = np.array([char_function(const_ev, bc, l) for l in lams])
+        np.testing.assert_allclose(batch, single.T, atol=1e-13)
 
     def test_derivative_against_finite_differences(self, const_ev):
         bc = BoundaryCondition.dirichlet()
         rng = np.random.default_rng(1)
         for lam in rng.uniform(-30, 30, 6):
-            d = char_function_derivative(const_ev, bc, lam)
+            d = char_function(const_ev, bc, lam)[1]
             h = 1e-5
             fd = (
-                char_function(const_ev, bc, lam + h)
-                - char_function(const_ev, bc, lam - h)
+                char_function(const_ev, bc, lam + h)[0]
+                - char_function(const_ev, bc, lam - h)[0]
             ) / (2 * h)
             assert abs(d - fd) < 1e-6
 
@@ -80,7 +73,7 @@ class TestCharFunction:
         for lam in (0.7, 5.0, -13.0):
             ref = const_q_solution(0.0, 1.0, lam, 1.0)
             M = np.array([[1.0, 0.0], [ref[0, 0], ref[0, 1]]])
-            assert abs(char_function(const_ev, bc, lam) - np.linalg.det(M)) < 1e-8
+            assert abs(char_function(const_ev, bc, lam)[0] - np.linalg.det(M)) < 1e-8
 
 
 class TestRefineRoot:
@@ -174,7 +167,7 @@ class TestScan:
         lo, hi, step = -29.9, 30.0, 0.25  # no grid node on the root 0
         recs = scan_eigenvalues(const_ev, bc, lo, hi, ScanOptions(step=step))
         grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
-        vals = char_function_batch(const_ev, bc, grid).real
+        vals = char_function(const_ev, bc, grid)[0].real
         brackets = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
         alone = [refine_root(const_ev, bc, (grid[i], grid[i + 1])) for i in brackets]
         assert len(recs) == len(alone) == 19
@@ -190,8 +183,8 @@ class TestScan:
         assert not all(r.converged for r in recs)
 
     def test_lambda_dependent_blocks_secant_path(self, free_ev):
-        # y1(0) = 0, y1(b) + lambda y2(b) = 0: Delta = -sin l + l cos l,
-        # blocks callable without derivative hooks -> derivative-free
+        # y1(0) = 0, y1(b) + lambda y2(b) = 0: Delta = -sin l + l cos l;
+        # lambda-dependent blocks give no slope -> false-position steps
         bc = BoundaryCondition(
             left=lambda lam: np.array([[1.0, 0.0], [0.0, 0.0]]),
             right=lambda lam: np.array([[0.0, 0.0], [1.0, lam]]),
@@ -200,6 +193,11 @@ class TestScan:
 
         def exact(lam):
             return -np.sin(lam) + lam * np.cos(lam)
+
+        lams = np.array([[2.0, 5.0], [-3.0, 9.5]])
+        delta, slope = char_function(free_ev, bc, lams)
+        assert slope is None
+        np.testing.assert_allclose(delta, exact(lams), atol=1e-11)
 
         # roots of tan(lam) = lam inside (1, 12)
         refs = [

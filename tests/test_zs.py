@@ -10,7 +10,6 @@ from diracnsbf.zs import (
     ZsPotential,
     build_zs_evaluator,
     evaluate_Z,
-    evaluate_Z_nodes,
     zs_ode_residual,
     zs_series_coefficients,
     zs_to_dirac,
@@ -59,7 +58,7 @@ class TestEvaluateZ:
         g = Grid(1.0, 200)
         zev = build_zs_evaluator(ZsPotential(g, np.zeros(g.size)), 4)
         for lam in (1.0, -3.7):
-            Z = evaluate_Z_nodes(zev, lam)
+            Z = evaluate_Z(zev, lam, g.nodes)
             np.testing.assert_allclose(
                 Z[:, 0, 0], np.exp(1j * lam * g.nodes), atol=1e-12
             )
