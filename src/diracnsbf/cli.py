@@ -447,7 +447,10 @@ def cmd_solve(problem, args):
     ev = build_evaluator(coeffs)
     t0 = time.perf_counter()
     for k, lam in enumerate(lams):
-        sol = solve_ivp(ev, lam, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(ev, lam, c)
+        if not np.all(np.isfinite(sol.Y)):
+            raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
         # Y.view(float) holds re_y1, im_y1, re_y2, im_y2 per node
         table = np.column_stack(
             (problem.grid.nodes, sol.Y.view(float), sol.residual_nodes)

@@ -266,9 +266,12 @@ def families_at(grid, values, x):
 
     x must lie in [0, b].  The result has shape (K,) + x.shape +
     values.shape[2:].  A point on a node takes that node's row exactly;
-    the other points share one cubic_interp across all K families.
+    the other points share one cubic_interp across all K families.  When
+    x is exactly grid.nodes in order, values itself is returned, uncopied.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape == grid.nodes.shape and np.array_equal(x, grid.nodes):
+        return values
     t = x / grid.h
     i = np.rint(t).astype(int)
     on = np.abs(t - i) < 1e-9

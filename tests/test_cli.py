@@ -197,6 +197,18 @@ class TestSolveCommand:
         assert out.count("built in") == 1
         assert (tmp_path / "many_solution_999.csv").exists()
 
+    def test_overflowing_solution_is_an_error(self, tmp_path, capsys):
+        # |Y| ~ e^(800 x) does not fit in a double: no file of nan rows
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 8\nout = %s\n" % (tmp_path / "o"),
+        )
+        code, _, err = run(["solve", "--config", cfg, "--lambdas=1+800i"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "overflows" in err and "(1+800j)" in err
+        assert not (tmp_path / "o_solution_000.csv").exists()
+
     def test_cache_reuse_between_commands(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from diracnsbf import solution
 from diracnsbf.dirac import Potential, free_solution, fundamental_solution_zero
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
@@ -168,23 +167,8 @@ class TestDerivative:
             np.testing.assert_allclose(dU[k], ref_dU, rtol=0, atol=1e-11)
 
 
-def _elementwise_bessel(z, n_max):
-    """bessel_pair_batch one argument at a time.
-
-    The engine's Miller start follows the largest |z| of its batch, so a
-    batch and a single call agree only to rounding at such arguments;
-    with this stand-in the evaluator itself must agree bit for bit.
-    """
-    pairs = [bessel_pair_batch(np.array([zk]), n_max) for zk in z]
-    return tuple(np.concatenate([p[i] for p in pairs], axis=1) for i in (0, 1))
-
-
 class TestBroadcast:
     """One call over many points equals one call per point, bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def elementwise_bessel(self, monkeypatch):
-        monkeypatch.setattr(solution, "bessel_pair_batch", _elementwise_bessel)
 
     @staticmethod
     def assert_elementwise(ev, lam, x):

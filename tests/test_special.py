@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from diracnsbf.special import (
+    _UPWARD_IM_CAP,
     LEGENDRE_DEGREE_CAP,
     bessel_pair_batch,
     legendre_eval,
@@ -153,6 +154,36 @@ class TestSphericalBesselSeq:
         assert np.max(err) < 1e-12
 
 
+def _route_sample():
+    """Arguments on every side of the routing boundaries, |z| up to 3e4."""
+    rng = np.random.default_rng(20261018)
+    cap = _UPWARD_IM_CAP
+    sign = lambda k: rng.choice([-1.0, 1.0], k)
+    im = cap * np.concatenate([rng.uniform(0.5, 1.0, 60), rng.uniform(1.0, 2.5, 60)])
+    mod = im + rng.uniform(0.0, 3e3, 120)
+    mod[::3] = im[::3] + rng.uniform(0.0, 30.0, 40)
+    cpx = np.sqrt(mod**2 - im**2) * sign(120) + 1j * im * sign(120)
+    pure_im = 1j * rng.uniform(0.5, 2.5 * cap, 40) * sign(40)
+    real = np.concatenate([rng.uniform(0.5, 100.0, 40), np.geomspace(100.0, 3e4, 40)])
+    im_one = np.geomspace(4.0, 3e4, 60) + 1.0j
+    return np.concatenate([cpx, pure_im, real * sign(80), im_one])
+
+
+class TestRouteAccuracy:
+    @pytest.mark.parametrize("n_max", [1, 3, 13, 17, 33, 65])
+    def test_against_scipy_across_routes(self, n_max):
+        # error relative to the amplitude of each argument's sequence; real
+        # arguments are checked against scipy's real routine.  At
+        # n_max = 65 and |z| in the thousands the complex scipy reference
+        # itself limits the comparison to about 6e-13.
+        z = _route_sample()
+        n = np.arange(n_max + 1)[:, None]
+        ref = np.where(z.imag == 0, sp.spherical_jn(n, z.real), sp.spherical_jn(n, z))
+        jn = bessel_pair_batch(z, n_max)[0]
+        err = np.max(np.abs(jn - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(err) < (1e-12 if n_max <= 33 else 6.8e-13)
+
+
 class TestOverArg:
     def test_zero_argument(self):
         vals = over_arg(0.0, 2)
@@ -199,6 +230,25 @@ class TestBesselPair:
         for i, zi in enumerate(z):
             np.testing.assert_allclose(jn_b[:, i], jn_seq(zi, 9), rtol=1e-13, atol=1e-300)
             np.testing.assert_allclose(jz_b[:, i], over_arg(zi, 9), rtol=1e-13, atol=1e-300)
+
+    @pytest.mark.parametrize("n_max", [1, 13, 17, 65])
+    def test_batch_equals_single_calls_bitwise(self, n_max):
+        # every route in one batch: z = 0 and series; real upward and real
+        # Miller; complex under and above the cap; pure imaginary
+        cap = _UPWARD_IM_CAP
+        z = np.array(
+            [0.0, 1e-7, -0.3, 0.2 + 0.3j, 0.45j]
+            + [0.7, -2.5, 3.9, 5.0, -12.0, 20.0, 80.0, -423.0, 3e4]
+            + [7.0 + 3.0j, -40.0 + 0.99 * cap * 1j, 390.0 + 1.0j, 3e4 - 1.0j]
+            + [1.0 - 1.0j, 25.0 + 1.01 * cap * 1j, -60.0 - 2.5 * cap * 1j, 600.0 + 100.0j]
+            + [2.0j, -0.5 * cap * 1j, 1.5 * cap * 1j, -300.0j]
+        )
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        jn_b, jz_b = bessel_pair_batch(z, n_max)
+        for i in range(len(z)):
+            jn_1, jz_1 = bessel_pair_batch(z[i : i + 1], n_max)
+            np.testing.assert_array_equal(bits(jn_b[:, i]), bits(jn_1[:, 0]))
+            np.testing.assert_array_equal(bits(jz_b[:, i]), bits(jz_1[:, 0]))
 
     @settings(max_examples=60, deadline=None)
     @given(
