@@ -449,7 +449,7 @@ def cmd_solve(problem, args):
     for k, lam in enumerate(lams):
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(ev, lam, c)
-        if not np.all(np.isfinite(sol.Y)):
+        if not (np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.residual_nodes))):
             raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
         # Y.view(float) holds re_y1, im_y1, re_y2, im_y2 per node
         table = np.column_stack(

@@ -270,7 +270,7 @@ def families_at(grid, values, x):
     x is exactly grid.nodes in order, values itself is returned, uncopied.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape == grid.nodes.shape and np.array_equal(x, grid.nodes):
+    if np.array_equal(x, grid.nodes):
         return values
     t = x / grid.h
     i = np.rint(t).astype(int)
