@@ -24,10 +24,12 @@ reinterpreted as the diagonal entries m1, m2 of a system B Z' +
 diag(m1, m2) Z = lambda Z, which is rotated to canonical form by the
 angle expression gauge_phi; boundary blocks are rotated along.  N is an
 integer or "auto" (tol-driven).  Every CSV value is written as exactly
-Python's "%.17g" by the vectorized writer `csvfmt.format_table` (only
-non-finite, out-of-range and near-tie values take a per-value "%"), with
-comma delimiters and LF line endings, so identical configs yield
-byte-identical files.
+Python's "%.17g" by the vectorized writer `csvfmt.format_tables`, which
+formats each distinct column of a file once: a constant column (the order,
+the zero imaginary parts of a real kernel) as one text, a column equal to
+the previous table's (the nodes) from kept cells.  Only non-finite,
+out-of-range and near-tie values take a per-value "%".  Comma delimiters
+and LF line endings; identical configs yield byte-identical files.
 """
 
 import argparse
@@ -41,7 +43,7 @@ import zipfile
 import numpy as np
 
 from . import __version__, dirac, kernel
-from .csvfmt import format_table
+from .csvfmt import format_tables
 from .dirac import HomogeneousSolution, Potential, fundamental_solution_zero
 from .exprparse import ParseError, evaluate, evaluate_on_grid, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks
@@ -376,8 +378,8 @@ def _write_csv(path, header, tables):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for table in tables:
-            fh.write(format_table(table))
+        for text in format_tables(tables):
+            fh.write(text)
 
 
 def _write_coeff_csv(path, grid, matrices_by_order, orders):

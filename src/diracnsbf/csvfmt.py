@@ -1,6 +1,20 @@
 """Vectorized CSV formatting: exactly Python's ``"%.17g"`` for every value.
 
-``format_table`` turns a 2-D float table into CSV rows with numpy alone.
+``format_tables`` turns the 2-D float tables of one file into CSV rows
+with numpy alone, and formats no column twice.  Columns are classed by
+their bits, so 0.0 and -0.0, or two NaN payloads, are never confused:
+
+- constant (all values bitwise equal: the order column, the zero
+  imaginary parts of a real kernel): formatted once by ``%``, its exact
+  text, with no NUL padding, fills a slot of that width in every row;
+- repeated (bitwise equal to the same column of the previous table of the
+  same call, as the nodes of the coefficient file): its cells are kept at
+  the first repeat and copied while it repeats;
+- any other column is formatted as below, in blocks of whole rows.
+
+Each row of a block holds every column at a fixed byte offset, and one
+NUL compaction per block leaves the CSV text.
+
 Each value with 1e-280 <= |v| <= 1e280 is scaled to its 17-digit integer
 by a Dekker TwoProduct against a double-double table of powers of ten
 (Dekker, "A floating-point technique for extending the available
@@ -14,7 +28,7 @@ formatted by ``%`` one at a time.
 The digits are laid out by the ``%g`` rules (fixed notation for decimal
 exponents X = -4..16, else ``d.ddde±XX``; trailing zeros and a bare point
 dropped) in a fixed 32-byte cell per value, assembled from lookup-table
-words; NUL bytes mark what is not printed and are removed once per block:
+words; NUL bytes mark what is not printed:
 
     byte  1..6    "-" and, in fixed notation below 1, "0.", "0.0", ...,
                   ending at byte 6 (else "-" at byte 5)
@@ -34,7 +48,7 @@ import numpy as np
 
 _U8 = np.dtype("<u8")
 _CELL = 32
-_BLOCK = 8192  # values per block of temporaries
+_BLOCK = 8192  # 32-byte slots per block of rows
 _RANGE = 1e280  # |v| in [1/_RANGE, _RANGE]: no overflow or subnormal in the product
 _TIE_MARGIN = 1e-6
 _E_MIN, _E_MAX = -266, 298  # 16 - k for |k| <= 280, with room for a corrected k
@@ -182,24 +196,62 @@ def _fill(v, sep, tables):
     return cell
 
 
-def format_table(table):
-    """CSV bytes of a 2-D float table, each value exactly ``"%.17g" % v``.
+def format_tables(tables):
+    """Yield the CSV bytes of each 2-D float table of one file, each value
+    exactly ``"%.17g" % v``, separated by "," and each row ended by "\\n".
 
-    Values are separated by "," and each row ends with "\\n".
+    A constant column, and a column bitwise equal to the same column of
+    the previous table, are formatted once (see the module docstring).
     """
-    table = np.asarray(table, dtype=float)
-    if table.size == 0:
-        return b""
-    rows, cols = table.shape
-    tables = _tables()
-    v = table.ravel()
-    # blocks of whole rows keep the temporaries small, so that they reuse
-    # freed memory instead of faulting in fresh pages
-    step = cols * max(1, _BLOCK // cols)
-    sep = np.tile([ord(",")] * (cols - 1) + [ord("\n")], step // cols).astype(_U8) << 40
-    chunks = []
-    for start in range(0, v.size, step):
-        block = v[start : start + step]
-        raw = _fill(block, sep[: block.size], tables).reshape(-1)
-        chunks.append(raw[raw != 0].tobytes())
-    return b"".join(chunks)
+    fmt = _tables()
+    prev, kept = None, {}
+    for table in tables:
+        table = np.asarray(table, dtype=float)
+        rows, cols = table.shape
+        if table.size == 0:
+            yield b""
+            continue
+        # the bits of each column, copied: the caller may reuse the table
+        bits = np.array(table.T, order="C").view(_U8)
+        constant = (bits == bits[:, :1]).all(axis=1)
+        same = np.zeros(cols, bool)
+        if prev is not None and prev.shape == bits.shape:
+            same = (bits == prev).all(axis=1) & ~constant
+        prev = bits
+        reuse = [c for c in np.flatnonzero(same) if c in kept]
+        # the cells of repeated columns; a first repeat is stored as it is filled
+        kept = {
+            c: kept[c] if c in reuse else np.empty((rows, _CELL), np.uint8)
+            for c in np.flatnonzero(same)
+        }
+        fill = np.array([c for c in range(cols) if not constant[c] and c not in reuse], int)
+
+        ends = np.where(np.arange(cols) < cols - 1, ord(","), ord("\n")).astype(_U8)
+        texts = [("%.17g" % v).encode() + bytes([e]) for v, e in zip(table[0], ends)]
+        width = np.where(constant, [len(t) for t in texts], _CELL)
+        start = np.cumsum(width) - width
+        # even blocks of whole rows, of about _BLOCK cells, keep the
+        # temporaries small, so that they reuse freed memory instead of
+        # faulting in fresh pages
+        row_bytes = int(width.sum())
+        blocks = -(-rows * row_bytes // (_BLOCK * _CELL))
+        step = -(-rows // blocks)
+        buf = np.empty((step, row_bytes), np.uint8)
+        for c in np.flatnonzero(constant):
+            buf[:, start[c] : start[c] + width[c]] = np.frombuffer(texts[c], np.uint8)
+        sep = np.tile(ends[fill] << 40, step)
+        chunks = []
+        for r0 in range(0, rows, step):
+            n = min(step, rows - r0)
+            if fill.size:
+                cells = _fill(table[r0 : r0 + n, fill].ravel(), sep[: n * fill.size], fmt)
+                cells = cells.reshape(n, -1, _CELL)
+            for j, c in enumerate(fill):
+                buf[:n, start[c] : start[c] + _CELL] = cells[:, j]
+                if c in kept:
+                    kept[c][r0 : r0 + n] = cells[:, j]
+            for c in reuse:
+                buf[:n, start[c] : start[c] + _CELL] = kept[c][r0 : r0 + n]
+            raw = buf[:n].reshape(-1)
+            chunks.append(raw[raw != 0].tobytes())
+        yield b"".join(chunks)

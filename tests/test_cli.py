@@ -361,6 +361,57 @@ class TestCsvOutput:
                 tmp_path / ("s_solution_%03d.csv" % k), "x,re_y1,im_y1,re_y2,im_y2,residual"
             )
 
+    @staticmethod
+    def read_values(path):
+        body = path.read_text().split("\n", 1)[1]
+        return np.array([[float(t) for t in line.split(",")] for line in body.splitlines()])
+
+    @staticmethod
+    def assert_bits_equal(actual, expected):
+        actual, expected = np.broadcast_arrays(actual, np.asarray(expected, dtype=float))
+        np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("p_expr", ["sin(3*x)", "sin(3*x) + 0.5i*x"])
+    def test_kernel_file_holds_the_coefficients(self, tmp_path, capsys, p_expr):
+        # "%.17g" text of the wrong values (a column reused from another
+        # table) would pass assert_written_as_17g; each value must be its own
+        cfg = write_config(
+            tmp_path,
+            "p_expr = %s\nq_expr = 1 + x\nM = 200\nN = 6\nout = %s\n"
+            % (p_expr, tmp_path / "k"),
+        )
+        code, _, _ = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        problem = cli.Problem(cli.load_config(cfg))
+        coeffs = problem.coefficients()
+        size = problem.grid.size
+        data = self.read_values(tmp_path / "k_coeffs.csv")
+        orders = range(-1, coeffs.N + 1)
+        assert data.shape == (len(orders) * size, 10)
+        for n, rows in zip(orders, data.reshape(-1, size, 10)):
+            self.assert_bits_equal(rows[:, 0], n)
+            self.assert_bits_equal(rows[:, 1], problem.grid.nodes)
+            # re11, im11, re12, im12, re21, im21, re22, im22
+            self.assert_bits_equal(rows[:, 2:], coeffs.coeff(n).reshape(size, 4).view(float))
+
+    def test_solve_files_hold_the_solutions(self, tmp_path, capsys):
+        from diracnsbf.solution import build_evaluator, solve_ivp
+
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 6\nout = %s\n" % (tmp_path / "s"),
+        )
+        code, _, _ = run(["solve", "--config", cfg, "--lambdas=-7.25,3+1i"], capsys)
+        assert code == 0
+        problem = cli.Problem(cli.load_config(cfg))
+        ev = build_evaluator(problem.coefficients())
+        for k, lam in enumerate([-7.25, 3 + 1j]):
+            sol = solve_ivp(ev, complex(lam), [1, 0])
+            data = self.read_values(tmp_path / ("s_solution_%03d.csv" % k))
+            self.assert_bits_equal(data[:, 0], problem.grid.nodes)
+            self.assert_bits_equal(data[:, 1:5], sol.Y.view(float))
+            self.assert_bits_equal(data[:, 5], sol.residual_nodes)
+
     def test_spectrum_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "e"))
         code, _, _ = run(["spectrum", "--config", cfg], capsys)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracnsbf.csvfmt import format_table
+from diracnsbf.csvfmt import format_tables
 
 COLUMNS = (1, 4, 6, 10)
 
@@ -12,6 +12,11 @@ def reference(table):
     table = np.asarray(table, dtype=float)
     row = "%.17g," * (table.shape[1] - 1) + "%.17g\n"
     return "".join(row % tuple(r) for r in table.tolist()).encode()
+
+
+def format_one(table):
+    (text,) = format_tables([table])
+    return text
 
 
 def as_table(values, cols):
@@ -49,12 +54,12 @@ def edge_values():
 @pytest.mark.parametrize("cols", COLUMNS)
 def test_edge_values(cols):
     table = as_table(edge_values(), cols)
-    assert format_table(table) == reference(table)
+    assert format_one(table) == reference(table)
 
 
 @pytest.mark.parametrize("cols", COLUMNS)
 def test_empty_table(cols):
-    assert format_table(np.empty((0, cols))) == b""
+    assert format_one(np.empty((0, cols))) == b""
 
 
 @pytest.mark.parametrize("cols", COLUMNS)
@@ -66,7 +71,7 @@ def test_random_tables_over_many_blocks(cols):
     decimals = np.round(rng.standard_normal(n) * 1000, rng.integers(0, 6))
     for values in (bits, scaled, decimals):
         table = values.reshape(-1, cols)
-        assert format_table(table) == reference(table)
+        assert format_one(table) == reference(table)
 
 
 @settings(derandomize=True, deadline=None)
@@ -76,4 +81,68 @@ def test_random_tables_over_many_blocks(cols):
 )
 def test_matches_percent_formatting(values, cols):
     table = as_table(values, cols)
-    assert format_table(table) == reference(table)
+    assert format_one(table) == reference(table)
+
+
+# 1 + 2^-17 = 1.00000762939453125 is an exact tie at 17 digits, and 1e300
+# and 5e-324 lie outside the vectorized range: all three take the "%" path
+CONSTANTS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1 + 2.0**-17, 1e300, 5e-324, -3.5]
+
+
+@pytest.mark.parametrize("value", CONSTANTS)
+@pytest.mark.parametrize("cols", COLUMNS)
+def test_constant_columns(value, cols):
+    rng = np.random.default_rng(cols)
+    table = rng.standard_normal((300, cols))
+    for c in range(0, cols, 2):
+        table[:, c] = value
+    assert format_one(table) == reference(table)
+    assert format_one(table[:1]) == reference(table[:1])
+
+
+def test_mixed_signed_zeros_and_nan_payloads():
+    zeros = np.where(np.arange(50) % 7 == 3, -0.0, 0.0)
+    payloads = np.full(50, np.nan)
+    payloads.view(np.uint64)[::5] ^= 1  # a second NaN payload, still "nan"
+    table = np.column_stack((zeros, payloads, np.zeros(50), -zeros))
+    assert format_one(table) == reference(table)
+    assert format_one(table[:, 1:2]) == reference(table[:, 1:2])
+
+
+@pytest.mark.parametrize("changed", [(0.0, -0.0), (0.0, 1e-300), (0.25, 0.5)])
+@pytest.mark.parametrize("reuse_buffer", [False, True])
+def test_repeated_columns_across_tables(changed, reuse_buffer):
+    old, new = changed
+    rng = np.random.default_rng(7)
+    base = rng.standard_normal(4000)
+    base[1234] = old
+    other = base.copy()
+    other[1234] = new
+    # column 1 repeats in tables 1 and 2, differs in one value in table 3,
+    # repeats in table 4 and goes back in table 5; table 6 has fewer rows
+    columns = [base, base, base, other, other, base, base[:3000]]
+    tables = []
+    for k, col in enumerate(columns):
+        table = rng.standard_normal((col.size, 4))
+        table[:, 0] = k
+        table[:, 1] = col
+        table[:, 3] = 0.0 if k % 2 else -0.0
+        tables.append(table)
+
+    def supply():
+        # one array, rewritten in place for every table, when reuse_buffer
+        buf = np.empty_like(tables[0])
+        for table in tables:
+            if reuse_buffer and table.shape == buf.shape:
+                buf[...] = table
+                yield buf
+            else:
+                yield table
+
+    assert list(format_tables(supply())) == [reference(t) for t in tables]
+
+
+def test_empty_table_between_repeats():
+    table = np.arange(12.0).reshape(6, 2)
+    tables = [table, np.empty((0, 2)), table, table + 1, table + 1]
+    assert list(format_tables(tables)) == [reference(t) for t in tables]

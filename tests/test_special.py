@@ -250,7 +250,7 @@ class TestBesselPair:
             np.testing.assert_array_equal(bits(jn_b[:, i]), bits(jn_1[:, 0]))
             np.testing.assert_array_equal(bits(jz_b[:, i]), bits(jz_1[:, 0]))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.complex_numbers(
             min_magnitude=1e-8, max_magnitude=60.0, allow_nan=False, allow_infinity=False
