@@ -109,7 +109,8 @@ def _recurrence_jn(z, n_max):
     absz = np.abs(z)
     sinz = np.sin(z)
     j0 = sinz / z
-    j1 = (sinz - z * np.cos(z)) / (z * z)
+    cosz = np.cos(z)  # named: numpy swaps z * <big temporary>, not bitwise commutative
+    j1 = (sinz - z * cosz) / (z * z)
     rz = 1.0 / z
     upward = (absz >= 4.0) & (np.abs(z.imag) <= _UPWARD_IM_CAP)
     n_top = np.where(upward, np.minimum((0.75 * absz).astype(int), n_max), -1)
@@ -175,7 +176,8 @@ def bessel_pair_batch(z, n_max):
     Im z = 1 up to |z| = 3e4, complex z on both sides of the upward cap
     and pure imaginary z; up to |z| = 1e3 and n_max = 256 every value
     above the underflow range has 12 significant digits.  An argument's
-    values are those of a one-argument call, bit for bit; arguments with
+    values are those of a one-argument call, bit for bit, whatever the
+    size of the batch and the other arguments in it; arguments with
     Im z == 0 run in float64.  At z = 0 the exact limits are returned:
     j_0 = 1, j_n = 0 for n >= 1, j_1/z = 1/3 and j_n/z = 0 for n >= 2.
     The n = 0 slot of the /z family holds j_0(z)/z for z != 0 and 0 at

@@ -133,8 +133,8 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
     must stay within trust_k of itself (b_k and fb_k are then unused).
     tol_k NaN selects the default tolerance.  Every round evaluates Delta
     and its slope at all rows still iterating with one Bessel pass; the
-    safeguards of refine_root act on each row separately.  Returns one
-    EigenvalueRecord (index 0) per row.
+    safeguards of refine_root, resolution rule included, act on each row
+    separately.  Returns one EigenvalueRecord (index 0) per row.
     """
     a, b, fa, fb, tol, trust = (
         np.array(v, dtype=float) for v in (a, b, fa, fb, tol, trust)
@@ -197,8 +197,11 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
         k = active & np.isnan(new) & bracketed & (fb != fa)
         new[k] = (a[k] * fb[k] - b[k] * fa[k]) / (fb[k] - fa[k])  # false position
         finish(active & np.isnan(new), best_lam, best_res, max_iter, False)
+        # a step within the lambda resolution is taken even onto or past a
+        # bracket end (bisecting would creep); step collapse then ends the row
+        resolution = 4.0 * np.finfo(float).eps * (1.0 + np.abs(lam))
         inside = (np.minimum(a, b) < new) & (new < np.maximum(a, b))
-        k = active & bracketed & ~inside
+        k = active & bracketed & ~inside & (np.abs(new - lam) > resolution)
         new[k] = 0.5 * (a[k] + b[k])
         far = active & ~bracketed & (np.abs(new - start) > trust)
         finish(far, best_lam, best_res, it, False)
@@ -212,7 +215,6 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
         # step collapse: at a simple root this is convergence in lambda;
         # require the residual to at least sit at the double-root scale
         # of the lambda resolution
-        resolution = 4.0 * np.finfo(float).eps * (1.0 + np.abs(lam))
         collapse = active & (moved <= resolution)
         finish(collapse, lam, res, it, res <= 1e4 * tol)
     finish(active, best_lam, best_res, max_iter, False)
@@ -226,7 +228,9 @@ def refine_root(ev, bc, bracket, tol=None, max_iter=80, trust_radius=None):
     """Polish one root of Re Delta with safeguarded Newton.
 
     bracket is (a, b) straddling a sign change (iterates are confined to
-    it, with bisection as the fallback step), or a bare starting point
+    it, with bisection as the fallback step, except that a step within the
+    lambda resolution 4 eps (1 + |lambda|) is taken as proposed, even onto
+    or past an end, and ends the iteration), or a bare starting point
     when no sign change is available; the unbracketed mode gives up with
     converged=False once the iterates leave the trust radius (default
     pi/b, one asymptotic eigenvalue gap) rather than report a far-away

@@ -8,6 +8,7 @@ transmutation kernel is integrated directly along characteristics of its
 defining hyperbolic system.
 """
 
+import mpmath as mp
 import numpy as np
 from scipy import optimize
 from scipy import special as sp
@@ -72,6 +73,19 @@ def airy_char(lam):
     small = np.abs(s) < 1e-8
     safe = np.where(small, 1.0, s)
     return np.where(small, 1.0, np.pi * (ai0 * bi1 - bi0 * ai1) / safe)
+
+
+def airy_root_mp(guess, dps=40):
+    """The root of the shooting function airy_char nearest guess (|guess| > 1)
+    as an mpmath number, polished at dps digits: far below double rounding."""
+
+    def shoot(lam):
+        s = mp.sign(1 - lam) * mp.cbrt(abs(1 - lam))
+        z0, z1 = s * lam, s * (1 + lam)
+        return (mp.airyai(z0) * mp.airybi(z1) - mp.airybi(z0) * mp.airyai(z1)) / s
+
+    with mp.workdps(dps):
+        return mp.findroot(shoot, mp.mpf(guess))
 
 
 def airy_spectrum(lam_min, lam_max, scan_step=0.05):

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import airy_char, airy_spectrum, const_q_solution, zs_const_solution
+from oracles import airy_char, airy_root_mp, airy_spectrum, const_q_solution, zs_const_solution
 
 
 class TestConstQOracle:
@@ -56,6 +56,12 @@ class TestAiryOracle:
         )
         ref = float(f(1)[0])
         assert abs(float(airy_char(lam)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_mpmath_roots_match_scipy_roots(self):
+        # the two Airy implementations agree where scipy is accurate
+        for root in airy_spectrum(-12.0, 12.0):
+            if abs(root - 1.0) > 0.5:
+                assert float(abs(airy_root_mp(root) - root)) <= 1e-12 * abs(root)
 
     def test_unit_eigenvalue_included_once(self):
         sp = airy_spectrum(0.0, 2.0)

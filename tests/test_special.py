@@ -249,6 +249,14 @@ class TestBesselPair:
             jn_1, jz_1 = bessel_pair_batch(z[i : i + 1], n_max)
             np.testing.assert_array_equal(bits(jn_b[:, i]), bits(jn_1[:, 0]))
             np.testing.assert_array_equal(bits(jz_b[:, i]), bits(jz_1[:, 0]))
+        # past 256 KiB of arguments numpy may reuse a temporary as an output
+        # with the operands swapped; the values must not notice
+        big = np.r_[z, np.linspace(-400.0, 400.0, 16385) + 1.0j]
+        jn_big, jz_big = bessel_pair_batch(big, n_max)
+        for s in range(0, len(big), 2001):
+            jn_1, jz_1 = bessel_pair_batch(big[s : s + 2001], n_max)
+            np.testing.assert_array_equal(bits(jn_big[:, s : s + 2001]), bits(jn_1))
+            np.testing.assert_array_equal(bits(jz_big[:, s : s + 2001]), bits(jz_1))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

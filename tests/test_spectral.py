@@ -15,7 +15,7 @@ from diracnsbf.spectral import (
     scan_eigenvalues,
 )
 
-from oracles import airy_spectrum, const_q_solution
+from oracles import airy_char, airy_root_mp, airy_spectrum, const_q_solution
 
 
 def make_ev(p_fn, q_fn, M=500, N=12, b=1.0):
@@ -23,6 +23,29 @@ def make_ev(p_fn, q_fn, M=500, N=12, b=1.0):
     Q = Potential.from_functions(g, p_fn, q_fn)
     hom = fundamental_solution_zero(Q)
     return build_evaluator(build_coefficients(Q, hom, N))
+
+
+def gauge_problem(M, N):
+    """The README benchmark: B Z' + diag(-x, 1) Z = lam Z, z1(0) = z1(1) = 0,
+    rotated to canonical form by phi(x) = x(x-2)/4."""
+    g = Grid(1.0, M)
+    Q, defect = diagonal_to_canonical(
+        g, lambda x: -x, lambda x: 1.0 + 0 * x, lambda x: x * (x - 2) / 4
+    )
+    assert defect < 1e-8
+    ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), N))
+    left, right = rotate_boundary_blocks(
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+        0.0,
+        -0.25,
+    )
+    return ev, BoundaryCondition(left=left, right=right, self_adjoint=True)
+
+
+@pytest.fixture(scope="module")
+def readme_gauge():
+    return gauge_problem(M=2000, N=16)
 
 
 @pytest.fixture(scope="module")
@@ -246,24 +269,38 @@ class TestGauge:
         assert defect > 1e-2
 
     def test_benchmark_spectrum_matches_original_problem(self):
-        # diagonal system B Z' + diag(-x, 1) Z = lam Z, z1(0) = z1(1) = 0,
-        # transformed to canonical form; eigenvalues must be invariant
-        g = Grid(1.0, 1000)
-        Q, defect = diagonal_to_canonical(
-            g, lambda x: -x, lambda x: 1.0 + 0 * x, lambda x: x * (x - 2) / 4
-        )
-        assert defect < 1e-8
-        hom = fundamental_solution_zero(Q)
-        ev = build_evaluator(build_coefficients(Q, hom, 14))
-        left, right = rotate_boundary_blocks(
-            np.array([[1.0, 0.0], [0.0, 0.0]]),
-            np.array([[0.0, 0.0], [1.0, 0.0]]),
-            0.0,
-            -0.25,
-        )
-        bc = BoundaryCondition(left=left, right=right, self_adjoint=True)
+        # eigenvalues must be invariant under the gauge
+        ev, bc = gauge_problem(M=1000, N=14)
         recs = scan_eigenvalues(ev, bc, -12.0, 12.0)
         refs = airy_spectrum(-12.0, 12.0)
         assert len(recs) == len(refs)
         for rec, ref in zip(recs, refs):
             assert abs(rec.lam - ref) < 1e-7
+
+    def test_readme_window_converges_without_creeping(self, readme_gauge):
+        # a Newton step within the lambda resolution that lands on or past
+        # a bracket end is taken, not replaced by bisection: bisecting
+        # would halve the bracket from the scan step for ~35 more rounds
+        # and leave the roots near -279.35, 333.26 and 336.40 several ulp off
+        recs = scan_eigenvalues(*readme_gauge, -331.0, 423.0)
+        assert [r.index for r in recs] == list(range(-105, 135))
+        assert all(r.converged for r in recs)
+        assert max(r.iterations for r in recs) <= 4
+        lams = np.array([r.lam for r in recs])
+        for guess in (-279.35, 333.26, 336.40):
+            lam = lams[np.argmin(np.abs(lams - guess))]
+            ref = airy_root_mp(lam)
+            assert float(abs(lam - ref) / abs(ref)) <= 2.5e-16
+
+    def test_thousands_of_eigenvalues_keep_full_accuracy(self, readme_gauge):
+        recs = scan_eigenvalues(*readme_gauge, -331.0, 1e4)
+        assert all(r.converged for r in recs)
+        # the spacing of the eigenvalues is at least 2.4 on this window
+        vals = airy_char(np.linspace(-331.0, 1e4, 41325))  # step 0.25
+        sign_changes = np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+        assert len(recs) == sign_changes + 1 == 3289  # + the eigenvalue 1
+        # top-index roots whose last Newton steps land on a bracket end
+        by_index = {r.index: r.lam for r in recs}
+        for k in (3168, 3170, 3172, 3176, 3179, 3180, 3182):
+            ref = airy_root_mp(by_index[k])
+            assert float(abs(by_index[k] - ref) / abs(ref)) <= 2e-16
