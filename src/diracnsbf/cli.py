@@ -79,9 +79,10 @@ _KEYS = {
 
 
 # Names the arithmetic of the coefficient build (propagator, recursion,
-# guard); change it whenever a build would no longer reproduce cached
-# coefficients bit for bit, so that no stale cache file is served.
-_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b/auto-unguarded"
+# guard, and the residual norm that picks N = auto); change it whenever a
+# build would no longer reproduce cached coefficients bit for bit, so that
+# no stale cache file is served.
+_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b/auto-unguarded/closed-form-norm"
 
 
 class ConfigError(Exception):

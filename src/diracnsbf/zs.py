@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import Potential, _b_right, fundamental_solution_zero
+from .dirac import Potential, _b_right, fundamental_solution_zero, matrix_norm
 from .grid import check_same_grid, differentiate
 from .kernel import build_coefficients
 from .solution import build_evaluator, evaluate_U
@@ -133,4 +133,4 @@ def zs_ode_residual(zev, lam):
     Z = evaluate_Z(zev, lam, grid.nodes)
     dZ = differentiate(grid, Z)
     R = dZ - zev.zs.matrices @ Z - 1j * lam * (SIGMA3 @ Z)
-    return float(np.max(np.linalg.matrix_norm(R[1:-1], ord=2)))
+    return float(np.max(matrix_norm(R[1:-1])))

@@ -11,8 +11,9 @@ from diracnsbf.dirac import (
     free_solution,
     fundamental_solution_zero,
     invert_unimodular,
+    matrix_norm,
 )
-from diracnsbf.grid import Grid, GridMismatchError
+from diracnsbf.grid import Grid, GridMismatchError, differentiate
 
 from oracles import const_q_solution
 
@@ -130,6 +131,23 @@ class TestFundamentalSolution:
         Q = Potential.constant(g, 0.0, 60.0)
         with pytest.raises(ResidualError):
             fundamental_solution_zero(Q)
+
+    def test_nan_in_propagator_raises(self, monkeypatch):
+        # a NaN passes every `value > tol` test; the residual norm must
+        # refuse it instead of letting the ODE-residual check pass
+        from diracnsbf import dirac
+
+        step_maps = dirac._rk4_step_maps
+
+        def poisoned(A, h):
+            D = step_maps(A, h)
+            D[len(D) // 2, 0, 1] = np.nan
+            return D
+
+        monkeypatch.setattr(dirac, "_rk4_step_maps", poisoned)
+        g = Grid(1.0, 100)
+        with pytest.raises(ValueError):
+            fundamental_solution_zero(smooth_potential(g))
 
     def test_tabulated_potential_interpolation_path(self):
         # without callables the integrator interpolates the node samples;
@@ -289,3 +307,110 @@ class TestDiracResidual:
         lam = 3.0
         Y = np.stack([np.cos(lam * g.nodes), np.sin(lam * g.nodes)], axis=1)
         assert dirac_residual(Y, Q, lam) < 1e-9
+
+
+def svd_norm(a):
+    """Test oracle: LAPACK's SVD through numpy."""
+    return np.linalg.matrix_norm(a, ord=2)
+
+
+def q_form(p, q):
+    out = np.empty(np.shape(p) + (2, 2), dtype=complex)
+    out[..., 0, 0] = p
+    out[..., 0, 1] = q
+    out[..., 1, 0] = q
+    out[..., 1, 1] = -p
+    return out
+
+
+class TestMatrixNorm:
+    """The closed-form 2x2 spectral norm against the SVD, 2e-15 relative."""
+
+    RTOL = 2e-15
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(20)
+
+    def complex_batch(self, *shape):
+        rng = self.rng
+        return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+
+    def assert_matches_svd(self, a):
+        ref = svd_norm(a)
+        got = matrix_norm(a)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= self.RTOL * ref)
+
+    def test_random_complex(self):
+        self.assert_matches_svd(self.complex_batch(5000))
+
+    def test_q_form_equal_singular_values(self):
+        # p, q sharing a phase make Q a multiple of a real symmetric matrix
+        rng = self.rng
+        phase = np.exp(2j * np.pi * rng.random(5000))
+        a = q_form(phase * rng.standard_normal(5000), phase * rng.standard_normal(5000))
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.all(s[:, 1] >= (1 - 1e-14) * s[:, 0])
+        self.assert_matches_svd(a)
+
+    def test_q_form_complex(self):
+        pq = self.complex_batch(5000)[:, 0]
+        self.assert_matches_svd(q_form(pq[:, 0], pq[:, 1]))
+
+    def test_rank_one(self):
+        u = self.complex_batch(5000)[..., 0]
+        v = self.complex_batch(5000)[..., 1]
+        self.assert_matches_svd(u[:, :, None] * v[:, None, :])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales(self, scale):
+        self.assert_matches_svd(scale * self.complex_batch(5000))
+
+    def test_subnormal_entries(self):
+        rng = self.rng
+        mod = 2e-308 * rng.uniform(0.5, 1.0, (5000, 2, 2))
+        a = mod * np.exp(2j * np.pi * rng.random((5000, 2, 2)))
+        tiny = np.finfo(float).tiny
+        assert np.all(np.abs(a.real) < tiny) and np.all(np.abs(a.imag) < tiny)
+        self.assert_matches_svd(a)
+
+    def test_leading_shape(self):
+        self.assert_matches_svd(self.complex_batch(7, 11))
+
+    def test_zero_matrix_exact(self):
+        assert matrix_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+        np.testing.assert_array_equal(matrix_norm(np.zeros((3, 2, 2))), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_raises(self, bad):
+        a = self.complex_batch(4)
+        a[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            matrix_norm(a)
+
+
+class TestApplyA:
+    """apply_A writes B Y' + Q Y out entry by entry; the stacked matmul is
+    the reference.  For vector samples the arithmetic is the same, so the
+    results are equal; the stacked complex matmul of 2x2 matrices rounds in
+    its own order, so matrix samples agree to a few ulps."""
+
+    def setup_method(self):
+        self.g = Grid(1.0, 300)
+        self.Q = smooth_potential(self.g)
+        x = self.g.nodes
+        self.Y = np.stack(
+            [np.exp(1j * x) * (1 + x), np.sin(3 * x) + 0.5j * x**2], axis=1
+        )
+
+    def test_vector_samples_match_matmul(self):
+        dY = differentiate(self.g, self.Y)
+        ref = (B_MAT @ dY[..., None])[..., 0] + (self.Q.matrices @ self.Y[..., None])[..., 0]
+        np.testing.assert_array_equal(apply_A(self.g, self.Y, self.Q), ref)
+
+    def test_matrix_samples_match_matmul(self):
+        Y = np.stack([self.Y, self.Y[:, ::-1] * 2j], axis=2)
+        dY = differentiate(self.g, Y)
+        ref = B_MAT @ dY + self.Q.matrices @ Y
+        atol = 4 * np.finfo(float).eps * np.max(np.abs(ref))
+        np.testing.assert_allclose(apply_A(self.g, Y, self.Q), ref, rtol=0, atol=atol)

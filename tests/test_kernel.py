@@ -253,6 +253,29 @@ class TestAutoTruncation:
         # the probe schedule (2, 4, 8, 12) leaves no trace in the family
         np.testing.assert_array_equal(fam.K, build_coefficients(Q, hom, 12).K)
 
+    @pytest.mark.parametrize(
+        "kind, orders",
+        [("constant", {1e-12: 12}), ("trig", {1e-12: 16, 1e-10: 14, 1e-8: 12})],
+    )
+    def test_orders_and_probes_match_svd_norm(self, monkeypatch, kind, orders):
+        # the orders are those the LAPACK SVD norm chose at M = 2000; every
+        # probe residual is recomputed through the SVD and agrees to 2e-15
+        from diracnsbf import kernel
+
+        g = Grid(1.0, 2000)
+        Q = Potential.constant(g, 0.3, 1.0) if kind == "constant" else trig_potential(g)
+        hom = fundamental_solution_zero(Q)
+        reports = {tol: auto_truncation(Q, hom, tol)[1] for tol in orders}
+        monkeypatch.setattr(kernel, "matrix_norm", lambda a: np.linalg.matrix_norm(a, ord=2))
+        for tol, order in orders.items():
+            ref = auto_truncation(Q, hom, tol)[1]
+            assert reports[tol].N == ref.N == order
+            got = np.array(reports[tol].probes)
+            want = np.array(ref.probes)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got[:, 0], want[:, 0])
+            assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= 2e-15 * want[:, 1:])
+
     def test_warning_flag_when_unreachable(self):
         g = Grid(1.0, 100)
         Q = trig_potential(g)
