@@ -354,8 +354,8 @@ class TestMatrixNorm:
         self.assert_matches_svd(a)
 
     def test_q_form_complex(self):
-        pq = self.complex_batch(5000)[:, 0]
-        self.assert_matches_svd(q_form(pq[:, 0], pq[:, 1]))
+        p, q = self.complex_batch(5000)[:, 0].T
+        self.assert_matches_svd(q_form(p, q))
 
     def test_rank_one(self):
         u = self.complex_batch(5000)[..., 0]
