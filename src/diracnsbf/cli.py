@@ -25,14 +25,16 @@ diag(m1, m2) Z = lambda Z, which is rotated to canonical form by the
 angle expression gauge_phi; boundary blocks are rotated along.  N is an
 integer or "auto" (tol-driven).  Every CSV value is written as exactly
 Python's "%.17g" by the vectorized writer `csvfmt.format_tables`, which
-formats each distinct column of a file once: a constant column (the order,
-the zero imaginary parts of a real kernel) as one text, a column equal to
-the previous table's (the nodes) from kept cells.  Only non-finite,
-out-of-range and near-tie values take a per-value "%".  Comma delimiters
-and LF line endings; identical configs yield byte-identical files.
+formats each distinct column of a file once: a constant column (the order;
+the imaginary parts of a real potential's kernel, which is built in float64,
+so each reads 0 and never -0) as one text, a column equal to the previous
+table's (the nodes) from kept cells.  Only non-finite, out-of-range and
+near-tie values take a per-value "%".  Comma delimiters and LF line
+endings; identical configs yield byte-identical files.
 """
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -78,11 +80,15 @@ _KEYS = {
 }
 
 
-# Names the arithmetic of the coefficient build (propagator, recursion,
-# guard, and the residual norm that picks N = auto); change it whenever a
-# build would no longer reproduce cached coefficients bit for bit, so that
-# no stale cache file is served.
-_BUILD_SCHEME = "rk4-i+d-doubling-scan/permuted-b/auto-unguarded/closed-form-norm"
+@functools.cache
+def _source_digest():
+    """SHA-256 of the modules that sample and build, read once per process:
+    an edit to any of them rebuilds instead of serving a stale cache file."""
+    digest = hashlib.sha256()
+    for name in ("dirac", "kernel", "grid", "exprparse", "gauge", "zs"):
+        with open(os.path.join(os.path.dirname(__file__), name + ".py"), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 class ConfigError(Exception):
@@ -289,7 +295,7 @@ class Problem:
         cfg = self.cfg
         parts = [
             "version=%s" % __version__,
-            "scheme=%s" % _BUILD_SCHEME,
+            "source=%s" % _source_digest(),
             "substeps=%d" % dirac._SUBSTEPS,
             "guard=%r" % kernel._GUARD_FRACTION,
             "sanitize=%r,%r,%r"
@@ -313,7 +319,8 @@ class Problem:
         return os.path.join(base, ".nsbf_cache", self._cache_token() + ".npz")
 
     def _load_cached(self, path):
-        """Coefficients from a cache file, or None when it cannot be read."""
+        """Coefficients from a cache file, or None when it cannot be read
+        (or its arrays lack the grid's shape or the potential's dtype)."""
         shape = (self.grid.size, 2, 2)
         try:
             with np.load(path) as data:
@@ -321,6 +328,8 @@ class Problem:
                 U, Uinv = data["U"], data["Uinv"]
             if U.shape != shape or Uinv.shape != shape or K.shape != (N + 2,) + shape:
                 raise ValueError("array shapes do not match the grid")
+            if not K.dtype == U.dtype == Uinv.dtype == self.potential.p.dtype:
+                raise ValueError("array dtypes do not match the potential")
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             print(
                 "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),

@@ -4,7 +4,10 @@ The system under study is B Y' + Q(x) Y = lambda Y on [0, b] with
 
     B = [[0, 1], [-1, 0]],    Q = [[p, q], [q, -p]],
 
-p, q complex-valued.  This module holds the potential, the free solution
+p, q complex-valued.  A potential whose p and q have exactly zero
+imaginary parts is sampled in float64, and B Q, U(0, x) and S follow the
+dtype of the samples; a nonzero imaginary part anywhere keeps them
+complex.  This module holds the potential, the free solution
 (Q = 0), the fundamental matrix U(0, x) of the homogeneous system with its
 inverse obtained from unimodularity, the variation-of-parameters operator
 S that solves B Y' + Q Y = H with Y(0) = 0, and finite-difference residual
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
+I2 = np.eye(2)
 
 
 # RK4 refinement of each grid cell used by fundamental_solution_zero.
@@ -65,7 +68,9 @@ def matrix_norm(a):
     do for every Q = [[p, q], [q, -p]]; the form (s + sqrt(s^2 - 4|det|^2))/2
     would lose about half the digits there.  Each matrix is first divided by
     its largest real or imaginary part in magnitude (finite for every finite
-    entry, unlike the modulus), so no finite input overflows or underflows.
+    entry, unlike the modulus), so no finite input overflows or underflows;
+    it multiplies by the reciprocal of that scale, as a complex quotient
+    does, so a real matrix has the norm of its complex copy bit for bit.
     Against LAPACK's SVD the relative difference stays below 1.3e-15 on
     random, equal-singular-value, rank-1, 1e+-300-scaled and subnormal
     batches.  Non-finite entries raise ValueError, as the SVD did, so that a
@@ -79,7 +84,7 @@ def matrix_norm(a):
     )
     if not np.all(np.isfinite(scale)):
         raise ValueError("matrix entries must be finite")
-    u = a / np.where(scale > 0, scale, 1.0)[..., None, None]
+    u = a * (1.0 / np.where(scale > 0, scale, 1.0))[..., None, None]
     w = u.real**2 + u.imag**2
     c0 = w[..., 0, 0] + w[..., 1, 0]
     c1 = w[..., 0, 1] + w[..., 1, 1]
@@ -103,8 +108,7 @@ class Potential:
     q_fn: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=complex)
-        q = np.asarray(self.q, dtype=complex)
+        p, q = _real_if_real(self.p, self.q)
         check_same_grid(self.grid, p)
         check_same_grid(self.grid, q)
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -114,18 +118,16 @@ class Potential:
 
     @classmethod
     def zero(cls, grid):
-        z = np.zeros(grid.size, dtype=complex)
-        return cls(grid, z, z.copy(), p_fn=lambda x: np.zeros_like(x, dtype=complex),
-                   q_fn=lambda x: np.zeros_like(x, dtype=complex))
+        return cls.constant(grid, 0.0, 0.0)
 
     @classmethod
     def constant(cls, grid, p, q):
         return cls(
             grid,
-            np.full(grid.size, p, dtype=complex),
-            np.full(grid.size, q, dtype=complex),
-            p_fn=lambda x, _p=p: np.full_like(x, _p, dtype=complex),
-            q_fn=lambda x, _q=q: np.full_like(x, _q, dtype=complex),
+            np.full(grid.size, p),
+            np.full(grid.size, q),
+            p_fn=lambda x, _p=p: np.full(np.shape(x), _p),
+            q_fn=lambda x, _q=q: np.full(np.shape(x), _q),
         )
 
     @classmethod
@@ -142,7 +144,7 @@ class Potential:
     @cached_property
     def matrices(self):
         """Q(x_i) as an (M + 1, 2, 2) array."""
-        out = np.empty((self.grid.size, 2, 2), dtype=complex)
+        out = np.empty((self.grid.size, 2, 2), dtype=self.p.dtype)
         out[:, 0, 0] = self.p
         out[:, 0, 1] = self.q
         out[:, 1, 0] = self.q
@@ -154,17 +156,28 @@ class Potential:
         return float(np.max(matrix_norm(self.matrices)))
 
     def values_at(self, x):
-        """(p(x), q(x)) off-grid, from the callables when available."""
+        """(p(x), q(x)) off-grid, from the callables when available; real
+        only when the node samples and all the values at x are."""
         x = np.asarray(x, dtype=float)
-        if self.p_fn is not None and self.q_fn is not None:
+        if self.p_fn is None or self.q_fn is None:
             return (
-                np.broadcast_to(np.asarray(self.p_fn(x), dtype=complex), x.shape),
-                np.broadcast_to(np.asarray(self.q_fn(x), dtype=complex), x.shape),
+                cubic_interp(self.grid, self.p, x),
+                cubic_interp(self.grid, self.q, x),
             )
-        return (
-            cubic_interp(self.grid, self.p, x),
-            cubic_interp(self.grid, self.q, x),
-        )
+        p = np.broadcast_to(np.asarray(self.p_fn(x), dtype=complex), x.shape)
+        q = np.broadcast_to(np.asarray(self.q_fn(x), dtype=complex), x.shape)
+        if np.iscomplexobj(self.p):
+            return p, q
+        return _real_if_real(p, q)
+
+
+def _real_if_real(p, q):
+    """p and q as float64 when both imaginary parts are exactly zero, else complex."""
+    p = np.asarray(p, dtype=complex)
+    q = np.asarray(q, dtype=complex)
+    if p.imag.any() or q.imag.any():
+        return p, q
+    return np.ascontiguousarray(p.real), np.ascontiguousarray(q.real)
 
 
 def free_solution(lam, x):
@@ -205,9 +218,9 @@ def invert_unimodular(a, tol=1e-6):
     tol from 1 is rejected since the adjugate would silently stop being
     the inverse.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if np.max(np.abs(det - 1.0)) > tol:
+    if not np.max(np.abs(det - 1.0)) <= tol:
         raise ValueError("matrix is not unimodular within tolerance")
     out = np.empty_like(a)
     out[..., 0, 0] = a[..., 1, 1]
@@ -269,7 +282,7 @@ def _coefficient_samples(Q, substeps):
     n_fine = 2 * grid.M * substeps
     x = np.linspace(0.0, grid.b, n_fine + 1)
     p, q = Q.values_at(x)
-    A = np.empty((n_fine + 1, 2, 2), dtype=complex)
+    A = np.empty((n_fine + 1, 2, 2), dtype=np.result_type(p, q))
     # B Q = [[q, -p], [-p, -q]]
     A[:, 0, 0] = q
     A[:, 0, 1] = -p
@@ -336,17 +349,22 @@ def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
     while d < grid.M:
         cells[d:] = _compose(cells[d:], cells[:-d])
         d *= 2
-    U = np.empty((grid.size, 2, 2), dtype=complex)
+    U = np.empty((grid.size, 2, 2), dtype=cells.dtype)
     U[0] = I2
     U[1:] = cells + I2
     if check:
         det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]
         defect = float(np.max(np.abs(det - 1.0)))
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ResidualError(
-                "det U(0, x) drifts from 1 by %.3e; refine the grid" % defect
+                "det of the propagator U(0, x) drifts from 1 by %.3e; refine the grid"
+                % defect
             )
-    hom = HomogeneousSolution(grid=grid, U=U, Uinv=invert_unimodular(U))
+    try:
+        Uinv = invert_unimodular(U)
+    except ValueError as exc:
+        raise ResidualError("propagator U(0, x): %s; refine the grid" % exc) from exc
+    hom = HomogeneousSolution(grid=grid, U=U, Uinv=Uinv)
     if check:
         tol = 1e-8 * (1.0 + Q.sup_norm * grid.b)
         resid = homogeneous_residual(hom, Q)
@@ -367,7 +385,7 @@ def apply_S(H, hom):
 
     Y(x) = U(0, x) int_0^x U^{-1}(0, t) B^T H(t) dt  with  B^T = -B.
     """
-    H = np.asarray(H, dtype=complex)
+    H = np.asarray(H)
     check_same_grid(hom.grid, H)
     integrand = _mul2(hom.Uinv, -_b_left(H))
     return _mul2(hom.U, indefinite_integral(hom.grid, integrand))

@@ -183,7 +183,7 @@ def _recurse(Q, hom, N, K=None):
     Every order depends only on the two unguarded orders before it, so a
     continued family equals a direct one bit for bit.
     """
-    out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=complex)
+    out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
     if K is None:
         out[1] = 0.5 * (hom.U - I2)
         out[0] = -out[1]
@@ -210,8 +210,10 @@ def _recursion_step(K, n, Q, hom):
     Phi = -(2 * n - 1) * _b_left(prev2) + (2 * n - 3) * _b_right(prev1)
     H = scale_by_nodes(x ** (n - 1), Phi)
     Sval = apply_S(H, hom)
+    # x^-n times S, as a complex quotient rounds it (a reciprocal, then a
+    # product), so that a real build equals the real part of a complex one
     xn = (x**n)[:, None, None]
-    avg = np.divide(Sval, xn, out=np.zeros_like(Sval), where=xn > 0.0)
+    avg = Sval * np.divide(1.0, xn, out=np.zeros_like(xn), where=xn > 0.0)
     K[n + 1] = ((2 * n + 1) / (2 * n - 3)) * (prev2 + avg)
     K[n + 1][: sanitize_cells(n, Q.grid.M) + 1] = 0.0
 
@@ -258,14 +260,18 @@ def _boundary_terms(total, alt):
 
 
 def goursat_residuals(coeffs):
-    """delta_Q and delta_0 per node (x = 0 excluded) plus their sups."""
+    """delta_Q and delta_0 per node (x = 0 excluded) plus their sups.
+
+    x^-1 multiplies, as in a complex quotient, so real and complex
+    coefficients give the same residuals (so does _residual_profile).
+    """
     grid = coeffs.grid
-    x = grid.nodes[1:, None, None]
+    inv_x = 1.0 / grid.nodes[1:, None, None]
     Kn = coeffs.coeffs[:, 1:]
     alt = Kn[::2].sum(axis=0) - Kn[1::2].sum(axis=0)
     comm, anti = _boundary_terms(Kn.sum(axis=0), alt)
-    dQ = matrix_norm(coeffs.potential.matrices[1:] + comm / x)
-    d0 = matrix_norm(anti / x)
+    dQ = matrix_norm(coeffs.potential.matrices[1:] + comm * inv_x)
+    d0 = matrix_norm(anti * inv_x)
     outer = grid.nodes[1:] >= 0.5 * grid.b
     return GoursatResiduals(
         x=grid.nodes[1:],
@@ -282,7 +288,7 @@ def _residual_profile(coeffs):
     """Outer-region sup delta_Q and sup delta_0 for every order n <= N."""
     grid = coeffs.grid
     outer = grid.nodes >= 0.5 * grid.b
-    x = grid.nodes[outer, None, None]
+    inv_x = 1.0 / grid.nodes[outer, None, None]
     Qm = coeffs.potential.matrices[outer]
     sup_Q = np.empty(coeffs.N + 1)
     sup_0 = np.empty(coeffs.N + 1)
@@ -293,8 +299,8 @@ def _residual_profile(coeffs):
         total += Kn
         alt += (-1.0) ** n * Kn
         comm, anti = _boundary_terms(total, alt)
-        sup_Q[n] = np.max(matrix_norm(Qm + comm / x))
-        sup_0[n] = np.max(matrix_norm(anti / x))
+        sup_Q[n] = np.max(matrix_norm(Qm + comm * inv_x))
+        sup_0[n] = np.max(matrix_norm(anti * inv_x))
     return sup_Q, sup_0
 
 

@@ -71,18 +71,12 @@ class ZsPotential:
 
 
 def zs_to_dirac(zs):
-    """Canonical Dirac potential with p = Im nu, q = -Re nu."""
+    """Canonical Dirac potential with p = Im nu, q = -Re nu (real for any nu)."""
     p_fn = q_fn = None
     if zs.nu_fn is not None:
-        p_fn = lambda x: np.imag(zs.nu_fn(x)) + 0j
-        q_fn = lambda x: -np.real(zs.nu_fn(x)) + 0j
-    return Potential(
-        zs.grid,
-        zs.nu.imag.astype(complex),
-        (-zs.nu.real).astype(complex),
-        p_fn=p_fn,
-        q_fn=q_fn,
-    )
+        p_fn = lambda x: np.imag(zs.nu_fn(x))
+        q_fn = lambda x: -np.real(zs.nu_fn(x))
+    return Potential(zs.grid, zs.nu.imag, -zs.nu.real, p_fn=p_fn, q_fn=q_fn)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,32 @@ class TestCoefficientCache:
         code, out, err = run(["kernel", "--config", cfg], capsys)
         assert "cache hit" in out and err == ""
 
+    def test_cache_of_another_dtype_is_rebuilt(self, tmp_path, capsys):
+        # a complex cache file for a real potential (as written before real
+        # potentials were built in float64) is stale, not served
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 6\nout = %s\n" % (tmp_path / "d"),
+        )
+        code, _, _ = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npz")
+        first = (tmp_path / "d_coeffs.csv").read_bytes()
+        with np.load(cache) as data:
+            arrays = {k: data[k] for k in data.files}
+        for key in ("K", "U", "Uinv"):
+            assert arrays[key].dtype == np.float64
+            arrays[key] = arrays[key].astype(complex)
+        with open(cache, "wb") as fh:
+            np.savez(fh, **arrays)
+        code, out, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        assert "built in" in out
+        assert err.count("\n") == 1 and "dtypes do not match the potential" in err
+        assert (tmp_path / "d_coeffs.csv").read_bytes() == first
+        code, out, err = run(["kernel", "--config", cfg], capsys)
+        assert "cache hit" in out and err == ""
+
     def test_cache_token_tracks_build_constants(self, monkeypatch):
         from diracnsbf import cli, dirac, kernel
 
@@ -263,13 +289,37 @@ class TestCoefficientCache:
             (kernel, "_SANITIZE_FROM", 5),
             (kernel, "_SANITIZE_CELLS", 0.5),
             (kernel, "_SANITIZE_CAP", 4),
-            (cli, "_BUILD_SCHEME", "other"),
+            (cli, "_source_digest", lambda: "other"),
             (cli, "__version__", "0.0.0"),
         ):
             with monkeypatch.context() as m:
                 m.setattr(module, name, value)
                 assert problem._cache_token() != base, name
         assert problem._cache_token() == base
+
+
+class TestBuildDtype:
+    """The coefficient build takes its dtype from the potential's samples."""
+
+    @pytest.mark.parametrize(
+        "cfg, dtype",
+        [
+            ({"p_expr": "sin(3*x)", "q_expr": "1 + x"}, np.float64),
+            ({"p_expr": "-x", "q_expr": "1", "gauge_phi": "x*(x-2)/4"}, np.float64),
+            ({"p_expr": "sin(3*x) + 0.5i*x", "q_expr": "1 + x"}, np.complex128),
+            ({"p_expr": "sin(3*x)", "q_expr": "1 + 1e-300i"}, np.complex128),
+            # p = Im nu and q = -Re nu are real for every nu
+            ({"nu_expr": "(1 + x) * exp(2i*x)"}, np.float64),
+        ],
+    )
+    def test_dtype_follows_the_samples(self, tmp_path, cfg, dtype):
+        problem = cli.Problem(dict(cfg, M="100", N="6", out=str(tmp_path / "c")))
+        coeffs = problem.coefficients()
+        assert problem.potential.p.dtype == dtype
+        for a in (coeffs.K, coeffs.hom.U, coeffs.hom.Uinv):
+            assert a.dtype == dtype
+        # served from the cache with the same dtype
+        assert cli.Problem(problem.cfg).coefficients().K.dtype == dtype
 
 
 FREE_DIRICHLET = (
@@ -391,8 +441,14 @@ class TestCsvOutput:
         for n, rows in zip(orders, data.reshape(-1, size, 10)):
             self.assert_bits_equal(rows[:, 0], n)
             self.assert_bits_equal(rows[:, 1], problem.grid.nodes)
-            # re11, im11, re12, im12, re21, im21, re22, im22
-            self.assert_bits_equal(rows[:, 2:], coeffs.coeff(n).reshape(size, 4).view(float))
+            # re11, im11, re12, im12, re21, im21, re22, im22, as the writer
+            # formats them: a real kernel has +0 imaginary parts
+            entries = np.asarray(coeffs.coeff(n), complex).reshape(size, 4).view(float)
+            self.assert_bits_equal(rows[:, 2:], entries)
+        if "0.5i" not in p_expr:
+            assert coeffs.K.dtype == np.float64
+            lines = (tmp_path / "k_coeffs.csv").read_text().splitlines()[1:]
+            assert not any("-0" in line.split(",")[3::2] for line in lines)
 
     def test_solve_files_hold_the_solutions(self, tmp_path, capsys):
         from diracnsbf.solution import build_evaluator, solve_ivp

@@ -73,6 +73,12 @@ class TestInvertUnimodular:
         with pytest.raises(ValueError):
             invert_unimodular(2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+    def test_rejects_nan(self, bad):
+        m = np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="unimodular"):
+            invert_unimodular(m)
+
 
 class TestFundamentalSolution:
     def test_zero_potential(self):
@@ -132,9 +138,8 @@ class TestFundamentalSolution:
         with pytest.raises(ResidualError):
             fundamental_solution_zero(Q)
 
-    def test_nan_in_propagator_raises(self, monkeypatch):
-        # a NaN passes every `value > tol` test; the residual norm must
-        # refuse it instead of letting the ODE-residual check pass
+    @staticmethod
+    def poison_one_step_map(monkeypatch):
         from diracnsbf import dirac
 
         step_maps = dirac._rk4_step_maps
@@ -145,9 +150,19 @@ class TestFundamentalSolution:
             return D
 
         monkeypatch.setattr(dirac, "_rk4_step_maps", poisoned)
-        g = Grid(1.0, 100)
-        with pytest.raises(ValueError):
-            fundamental_solution_zero(smooth_potential(g))
+
+    def test_nan_in_propagator_raises(self, monkeypatch):
+        # a NaN passes every `value > tol` test; the determinant check is
+        # written `not value <= tol`, so the propagator itself refuses it
+        self.poison_one_step_map(monkeypatch)
+        with pytest.raises(ResidualError, match="propagator U.* drifts from 1 by nan"):
+            fundamental_solution_zero(smooth_potential(Grid(1.0, 100)))
+
+    def test_nan_in_propagator_raises_without_check(self, monkeypatch):
+        # check=False leaves only the adjugate inverse's determinant test
+        self.poison_one_step_map(monkeypatch)
+        with pytest.raises(ResidualError, match="propagator"):
+            fundamental_solution_zero(smooth_potential(Grid(1.0, 100)), check=False)
 
     def test_tabulated_potential_interpolation_path(self):
         # without callables the integrator interpolates the node samples;

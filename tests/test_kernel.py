@@ -134,6 +134,66 @@ class TestBuildCoefficients:
         assert np.max(np.abs(trig_family.K.imag)) < 1e-13
 
 
+def with_complex_samples(Q):
+    """A copy of Q whose node samples are complex: it takes the complex build."""
+    Qc = Potential.from_functions(Q.grid, Q.p_fn, Q.q_fn)
+    object.__setattr__(Qc, "p", Qc.p.astype(complex))
+    object.__setattr__(Qc, "q", Qc.q.astype(complex))
+    return Qc
+
+
+def assert_bits_equal(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRealBuild:
+    """A real potential builds in float64, bit for bit as the complex build."""
+
+    def test_real_build_is_the_real_part_of_the_complex_build(self):
+        # M = 2000 puts nodes below the guard fraction (x < 1e-3), and
+        # N = 24 reaches the sanitized orders (n >= 4) up to their cap
+        g = Grid(1.0, 2000)
+        Q = trig_potential(g)
+        Qc = with_complex_samples(Q)
+        hom, hom_c = fundamental_solution_zero(Q), fundamental_solution_zero(Qc)
+        fam, fam_c = build_coefficients(Q, hom, 24), build_coefficients(Qc, hom_c, 24)
+        assert fam.K.dtype == np.float64 and fam_c.K.dtype == np.complex128
+        for real, cplx in ((hom.U, hom_c.U), (hom.Uinv, hom_c.Uinv), (fam.K, fam_c.K)):
+            assert_bits_equal(real, cplx.real)
+            assert not cplx.imag.any()
+        res, res_c = goursat_residuals(fam), goursat_residuals(fam_c)
+        assert_bits_equal(res.delta_Q, res_c.delta_Q)
+        assert_bits_equal(res.delta_0, res_c.delta_0)
+
+    def test_auto_truncation_is_the_same(self):
+        g = Grid(1.0, 2000)
+        Q = trig_potential(g)
+        Qc = with_complex_samples(Q)
+        fam, rep = auto_truncation(Q, fundamental_solution_zero(Q), 1e-12)
+        fam_c, rep_c = auto_truncation(Qc, fundamental_solution_zero(Qc), 1e-12)
+        assert rep.converged and rep.N == rep_c.N == 16
+        assert rep.probes == rep_c.probes
+        assert_bits_equal(fam.K, fam_c.K.real)
+
+    def test_imaginary_part_off_the_nodes_is_kept(self):
+        # exactly real on the nodes, complex between them (small enough to
+        # pass the ODE-residual check): the RK4 samples carry the imaginary
+        # part, so the build stays complex
+        g = Grid(1.0, 200)
+
+        def p_fn(x):
+            return np.sin(x) + (0.0 if x.shape == g.nodes.shape else 1e-12j * x)
+
+        Q = Potential.from_functions(g, p_fn, lambda x: 1.0 + x)
+        assert Q.p.dtype == np.float64
+        hom = fundamental_solution_zero(Q)
+        fam = build_coefficients(Q, hom, 6)
+        assert hom.U.dtype == fam.K.dtype == np.complex128
+        assert np.max(np.abs(fam.K.imag)) > 0.0
+
+
 class TestKernelEval:
     def test_zero_potential(self):
         g = Grid(1.0, 100)
