@@ -15,7 +15,6 @@ from .dirac import (
     Potential,
     ResidualError,
     apply_S,
-    dirac_residual,
     free_solution,
     fundamental_solution_zero,
     invert_unimodular,
@@ -53,7 +52,6 @@ from .solution import (
 from .special import (
     LegendreMonomialTable,
     bessel_pair_batch,
-    legendre_eval,
     legendre_monomial_coeffs,
 )
 from .spectral import (

@@ -463,10 +463,9 @@ def cmd_solve(problem, args):
             sol = solve_ivp(ev, lam, c)
         if not (np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.residual_nodes))):
             raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
-        # Y.view(float) holds re_y1, im_y1, re_y2, im_y2 per node
-        table = np.column_stack(
-            (problem.grid.nodes, sol.Y.view(float), sol.residual_nodes)
-        )
+        # re_y1, im_y1, re_y2, im_y2 per node; a real Y has +0 im columns
+        Y = np.asarray(sol.Y, dtype=complex).view(float)
+        table = np.column_stack((problem.grid.nodes, Y, sol.residual_nodes))
         path = "%s_solution_%03d.csv" % (problem.out, k)
         _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", [table])
     dt = time.perf_counter() - t0

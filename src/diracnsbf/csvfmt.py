@@ -253,5 +253,5 @@ def format_tables(tables):
             for c in reuse:
                 buf[:n, start[c] : start[c] + _CELL] = kept[c][r0 : r0 + n]
             raw = buf[:n].reshape(-1)
-            chunks.append(raw[raw != 0].tobytes())
+            chunks.append(raw.tobytes().translate(None, b"\0"))
         yield b"".join(chunks)

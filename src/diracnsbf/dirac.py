@@ -38,7 +38,6 @@ __all__ = [
     "invert_unimodular",
     "apply_S",
     "apply_A",
-    "dirac_residual",
     "dirac_residual_nodes",
     "matrix_norm",
 ]
@@ -171,23 +170,24 @@ class Potential:
         return _real_if_real(p, q)
 
 
-def _real_if_real(p, q):
-    """p and q as float64 when both imaginary parts are exactly zero, else complex."""
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    if p.imag.any() or q.imag.any():
-        return p, q
-    return np.ascontiguousarray(p.real), np.ascontiguousarray(q.real)
+def _real_if_real(*arrays):
+    """The arrays as float64 when every imaginary part is exactly zero, else
+    all as complex128."""
+    arrays = [np.asarray(a, dtype=complex) for a in arrays]
+    if any(a.imag.any() for a in arrays):
+        return arrays
+    return [a.real.copy() for a in arrays]
 
 
 def free_solution(lam, x):
     """Free fundamental matrix [[cos lx, -sin lx], [sin lx, cos lx]].
 
-    lam and x broadcast; the result has the broadcast shape + (2, 2).
+    lam and x broadcast; the result has the broadcast shape + (2, 2) and
+    the dtype of lam * x, float64 for a real product.
     """
-    z = np.asarray(lam * np.asarray(x), dtype=complex)
+    z = np.asarray(lam * np.asarray(x, dtype=float))
     c, s = np.cos(z), np.sin(z)
-    out = np.empty(z.shape + (2, 2), dtype=complex)
+    out = np.empty(z.shape + (2, 2), dtype=z.dtype)
     out[..., 0, 0] = c
     out[..., 0, 1] = -s
     out[..., 1, 0] = s
@@ -198,12 +198,13 @@ def free_solution(lam, x):
 def free_solution_dlambda(lam, x):
     """d/dlambda of the free solution, closed form.
 
-    lam and x broadcast; the result has the broadcast shape + (2, 2).
+    lam and x broadcast; the result has the broadcast shape + (2, 2) and
+    the dtype of lam * x.
     """
-    z = np.asarray(lam * np.asarray(x), dtype=complex)
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(lam * x)
     c, s = np.cos(z), np.sin(z)
-    x = np.asarray(x)
-    out = np.empty(np.shape(z) + (2, 2), dtype=complex)
+    out = np.empty(z.shape + (2, 2), dtype=z.dtype)
     out[..., 0, 0] = -x * s
     out[..., 0, 1] = -x * c
     out[..., 1, 0] = x * c
@@ -405,14 +406,9 @@ def apply_A(grid, Y, Q):
 def dirac_residual_nodes(Y, Q, lam):
     """Per-node norm of B Y' + Q Y - lambda Y (matrix or vector samples)."""
     grid = Q.grid
-    Y = np.asarray(Y, dtype=complex)
+    Y = np.asarray(Y)
     check_same_grid(grid, Y)
     R = apply_A(grid, Y, Q) - lam * Y
     if R.ndim == 2:
         return np.linalg.norm(R, axis=1)
     return matrix_norm(R)
-
-
-def dirac_residual(Y, Q, lam):
-    """Max interior-node norm of B Y' + Q Y - lambda Y."""
-    return float(np.max(dirac_residual_nodes(Y, Q, lam)[1:-1]))

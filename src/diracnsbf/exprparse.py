@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ParseError", "parse", "evaluate", "evaluate_on_grid", "to_source"]
+__all__ = ["ParseError", "parse", "evaluate", "evaluate_on_grid"]
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -187,26 +187,6 @@ class _Parser:
 def parse(source):
     """Parse an expression in x into an immutable syntax tree."""
     return _Parser(source).parse()
-
-
-def to_source(node):
-    """Fully parenthesized source form; parse(to_source(t)) == t."""
-    if isinstance(node, Num):
-        v = node.value
-        if v.imag == 0.0:
-            return repr(v.real)
-        if v.real == 0.0:
-            return repr(v.imag) + "i"
-        return "(%r+%ri)" % (v.real, v.imag)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return "(-%s)" % to_source(node.operand)
-    if isinstance(node, BinOp):
-        return "(%s%s%s)" % (to_source(node.lhs), node.op, to_source(node.rhs))
-    if isinstance(node, Call):
-        return "%s(%s)" % (node.name, to_source(node.arg))
-    raise TypeError("not an expression node: %r" % (node,))
 
 
 def evaluate(node, x=None):

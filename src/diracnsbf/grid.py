@@ -222,11 +222,14 @@ def differentiate(grid, f):
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     for j, w in enumerate(_D_INTERIOR):
         out[2 : n - 3] += w * f[j : n - 5 + j]
-    for i in (0, 1):
-        out[i] = np.tensordot(_D_EDGE[i], f[:6], axes=(0, 0))
-    for i in (n - 3, n - 2, n - 1):
-        out[i] = np.tensordot(_D_EDGE[6 - (n - i)], f[-6:], axes=(0, 0))
-    return out / grid.h
+    # the edge stencils sum in the same order, so that real and complex
+    # samples round alike (a matrix-vector product would not)
+    for i, k in ((0, 0), (1, 1), (n - 3, 3), (n - 2, 4), (n - 1, 5)):
+        ends = f[:6] if k < 2 else f[-6:]
+        for j, w in enumerate(_D_EDGE[k]):
+            out[i] += w * ends[j]
+    # a reciprocal, as numpy divides a complex array by a real scalar
+    return out * (1.0 / grid.h)
 
 
 def scale_by_nodes(scalars, f):

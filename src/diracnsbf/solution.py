@@ -11,7 +11,11 @@ of the odd terms (Kt_n = 2 (-1)^(n/2) C_n for even n and
 Bessel derivative identities and is assembled from j_n(z) and j_n(z)/z so
 that lambda = 0 needs no limit handling anywhere.  `evaluate_U` is the one
 evaluator: lambda and x broadcast against each other, and every point
-shares one Bessel pass.
+shares one Bessel pass.  The dtype follows the inputs: a lambda whose
+imaginary part is exactly zero is taken as real, and a real lambda on a
+real potential (float64 Kt) evaluates in float64 from the Bessel pass to
+the solve residual, bit for bit the real part of the complex evaluation;
+any complex input keeps the complex path.
 """
 
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ import numpy as np
 
 from .dirac import (
     _b_right,
+    _real_if_real,
     dirac_residual_nodes,
     free_solution,
     free_solution_dlambda,
@@ -74,7 +79,7 @@ class IvpSolution:
 def build_evaluator(coeffs):
     """Fold parity signs and the B factor into per-order coefficients."""
     n = np.arange(coeffs.N + 1)
-    Kt = coeffs.coeffs.astype(complex)
+    Kt = coeffs.coeffs.copy()
     Kt[1::2] = _b_right(Kt[1::2])
     Kt *= (2.0 * (-1.0) ** ((n + 1) // 2))[:, None, None, None]
     return NsbfEvaluator(coeffs=coeffs, Ktilde=Kt)
@@ -91,9 +96,10 @@ def evaluate_U(ev, lam, x, derivative=False):
         odd n:   x (j_{n-1}(z) - (n+1) j_n(z)/z)
     with z = lambda x; the j_n(z)/z factors are exact at z = 0, so the
     apparent 1/lambda singularity never materializes.  Off-grid x takes
-    piecewise-cubic interpolation of the folded coefficients.
+    piecewise-cubic interpolation of the folded coefficients.  The results
+    are float64 for a real lambda and float64 folded coefficients.
     """
-    lam = np.asarray(lam)
+    (lam,) = _real_if_real(lam)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > ev.b * (1 + 1e-12)):
         raise ValueError("x outside [0, b]")
@@ -117,9 +123,14 @@ def evaluate_U(ev, lam, x, derivative=False):
 
 
 def solve_ivp(ev, lam, c):
-    """Initial-value solution Y(lambda, x_i) = U^N(lambda, x_i) c."""
-    c = np.asarray(c, dtype=complex).reshape(2)
+    """Initial-value solution Y(lambda, x_i) = U^N(lambda, x_i) c.
+
+    Y is float64 when lambda, c and the potential are real.
+    """
+    (lam,) = _real_if_real(lam)
+    (c,) = _real_if_real(np.reshape(c, 2))
     U = evaluate_U(ev, lam, ev.grid.nodes)
-    Y = U @ c
+    # written out: a real stacked matmul rounds unlike the complex one
+    Y = U[..., 0] * c[0] + U[..., 1] * c[1]
     resid = dirac_residual_nodes(Y, ev.coeffs.potential, lam)
     return IvpSolution(lam=complex(lam), c=c, Y=Y, residual_nodes=resid)

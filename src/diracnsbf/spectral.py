@@ -2,14 +2,17 @@
 
 For the two-point condition A_left Y(0) + A_right Y(b) = 0 the eigenvalues
 are the zeros of Delta(lambda) = det(A_left + A_right U(lambda, b)).  U and
-dU/dlambda at x = b for any set of lambdas cost one batched Bessel pass.
-The scan samples Delta on a uniform lambda grid and brackets sign changes
-of its real restriction (plus suspicious local minima of |Delta|).  All
-candidates are then refined together by a lockstep safeguarded Newton
-iteration: each round evaluates Delta and its lambda-derivative at every
-root still iterating with one Bessel pass, while bisection fallbacks,
-tolerances and trust radii act per root.  The surviving roots are indexed
-with index 0 anchored at the smallest nonnegative eigenvalue.
+dU/dlambda at x = b for any set of lambdas cost one batched Bessel pass;
+real lambdas, a real potential and real blocks give Delta in float64.
+The scan samples Delta alone, without its slope, on a uniform lambda grid,
+checks there that a problem flagged self-adjoint has a real Delta, and
+brackets sign changes of its real restriction (plus suspicious local
+minima of |Delta|).  All candidates are then refined together by a
+lockstep safeguarded Newton iteration: each round evaluates Delta and its
+lambda-derivative at every root still iterating with one Bessel pass,
+while bisection fallbacks, tolerances and trust radii act per root.  The
+surviving roots are indexed with index 0 anchored at the smallest
+nonnegative eigenvalue.
 """
 
 import warnings
@@ -17,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dirac import _real_if_real
 from .solution import evaluate_U
 
 __all__ = [
@@ -39,7 +43,7 @@ class BoundaryCondition:
     and refinement takes Newton steps; a lambda-dependent block gives no
     derivative, and refinement takes false-position steps instead.
     self_adjoint=True asserts a real characteristic function on the real
-    axis and turns a violation into a diagnostic.
+    axis and turns a violation on the scan grid into a diagnostic.
     """
 
     left: object
@@ -50,16 +54,16 @@ class BoundaryCondition:
     def dirichlet(cls):
         """y1(0) = 0 and y1(b) = 0."""
         return cls(
-            left=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-            right=np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+            left=np.array([[1.0, 0.0], [0.0, 0.0]]),
+            right=np.array([[0.0, 0.0], [1.0, 0.0]]),
             self_adjoint=True,
         )
 
     def block(self, which, lam):
+        """The block at lam, float64 when its imaginary part is exactly zero."""
         blk = self.left if which == "left" else self.right
-        if callable(blk):
-            return np.asarray(blk(lam), dtype=complex)
-        return np.asarray(blk, dtype=complex)
+        (out,) = _real_if_real(blk(lam) if callable(blk) else blk)
+        return out
 
     @property
     def is_constant(self):
@@ -94,14 +98,17 @@ def _det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def char_function(ev, bc, lams):
+def char_function(ev, bc, lams, derivative=True):
     """Delta(lambda) = det(A_left + A_right U^N(lambda, b)) and its slope.
 
     lams may be a scalar or an array of any shape, complex values
-    included; delta and slope have its shape, from one Bessel pass.  The
-    slope d Delta / d lambda is None when a block depends on lambda.
-    d(det M) expands exactly in cofactors for 2x2 matrices (equivalent to
-    Jacobi's formula, with no conditioning caveat at singular M).
+    included; delta and slope have its shape, from one Bessel pass, and
+    are float64 for real lams, a real potential and real blocks.  The
+    slope d Delta / d lambda is None when a block depends on lambda;
+    derivative=False returns Delta alone, bitwise the same, without
+    computing the slope.  d(det M) expands exactly in cofactors for 2x2
+    matrices (equivalent to Jacobi's formula, with no conditioning caveat
+    at singular M).
     """
     lams = np.asarray(lams)
     if not bc.is_constant:
@@ -111,9 +118,12 @@ def char_function(ev, bc, lams):
             blocks = [bc.block(which, lam) for lam in lams.ravel()]
             return np.array(blocks).reshape(lams.shape + (2, 2))
 
-        return _det2(stack("left") + stack("right") @ U), None
-    U, dU = evaluate_U(ev, lams, ev.b, derivative=True)
+        delta = _det2(stack("left") + stack("right") @ U)
+        return (delta, None) if derivative else delta
     R = bc.block("right", 0.0)
+    if not derivative:
+        return _det2(bc.block("left", 0.0) + R @ evaluate_U(ev, lams, ev.b))
+    U, dU = evaluate_U(ev, lams, ev.b, derivative=True)
     M = bc.block("left", 0.0) + R @ U
     dM = R @ dU
     slope = (
@@ -262,11 +272,21 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
     does not converge is kept, flagged, and reported by a RuntimeWarning.
     Local minima of |Delta| without a sign change (possible even-order
     roots) get an unbracketed polish, kept only when it converges cleanly
-    inside the window.
+    inside the window.  The grid takes Delta without its slope; a problem
+    flagged self-adjoint whose grid values are not real raises
+    ArithmeticError before any refinement.
     """
     npts = max(2, int(np.ceil((lam_max - lam_min) / opts.step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
-    vals = char_function(ev, bc, grid)[0]
+    vals = char_function(ev, bc, grid, derivative=False)
+    if bc.self_adjoint:
+        im_level = np.max(np.abs(vals.imag))
+        re_scale = max(np.max(np.abs(vals)), 1e-300)
+        if im_level > 1e-8 * re_scale:
+            raise ArithmeticError(
+                "problem flagged self-adjoint but Delta is complex on the real "
+                "axis (|Im|/|Delta| = %.2e)" % (im_level / re_scale)
+            )
     f = vals.real
     sgn = np.sign(f)
     zero = sgn[:-1] == 0.0
@@ -323,15 +343,6 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
     opts = options or ScanOptions()
     if opts.step is None:
         opts = replace(opts, step=np.pi / (10.0 * ev.b))
-    probe = char_function(ev, bc, np.linspace(lam_min, lam_max, 101))[0]
-    im_level = np.max(np.abs(probe.imag))
-    re_scale = max(np.max(np.abs(probe)), 1e-300)
-    real = im_level <= 1e-8 * re_scale
-    if bc.self_adjoint and not real:
-        raise ArithmeticError(
-            "problem flagged self-adjoint but Delta is complex on the real "
-            "axis (|Im|/|Delta| = %.2e)" % (im_level / re_scale)
-        )
     found = _scan_window(ev, bc, lam_min, lam_max, opts)
     found.sort(key=lambda r: r.lam)
     merged = []

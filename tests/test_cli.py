@@ -450,23 +450,30 @@ class TestCsvOutput:
             lines = (tmp_path / "k_coeffs.csv").read_text().splitlines()[1:]
             assert not any("-0" in line.split(",")[3::2] for line in lines)
 
-    def test_solve_files_hold_the_solutions(self, tmp_path, capsys):
+    def test_solve_files_hold_the_solutions(self, tmp_path, capsys, complex_path):
         from diracnsbf.solution import build_evaluator, solve_ivp
 
-        cfg = write_config(
-            tmp_path,
-            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 6\nout = %s\n" % (tmp_path / "s"),
-        )
-        code, _, _ = run(["solve", "--config", cfg, "--lambdas=-7.25,3+1i"], capsys)
-        assert code == 0
-        problem = cli.Problem(cli.load_config(cfg))
-        ev = build_evaluator(problem.coefficients())
-        for k, lam in enumerate([-7.25, 3 + 1j]):
-            sol = solve_ivp(ev, complex(lam), [1, 0])
-            data = self.read_values(tmp_path / ("s_solution_%03d.csv" % k))
-            self.assert_bits_equal(data[:, 0], problem.grid.nodes)
-            self.assert_bits_equal(data[:, 1:5], sol.Y.view(float))
-            self.assert_bits_equal(data[:, 5], sol.residual_nodes)
+        for p_expr, out in (("0.3", "s"), ("sin(3*x) + 0.5i*x", "c")):
+            cfg = write_config(
+                tmp_path,
+                "p_expr = %s\nq_expr = 1\nM = 200\nN = 6\nout = %s\n"
+                % (p_expr, tmp_path / out),
+            )
+            code, _, _ = run(["solve", "--config", cfg, "--lambdas=-7.25,3+1i"], capsys)
+            assert code == 0
+            problem = cli.Problem(cli.load_config(cfg))
+            ev = build_evaluator(problem.coefficients())
+            for k, lam in enumerate([-7.25, 3 + 1j]):
+                sol = solve_ivp(ev, complex(lam), [1, 0])
+                # the file holds the all-complex evaluation, imaginary parts
+                # included: a float64 Y is written with +0 im columns
+                ref = complex_path.run(solve_ivp, ev, complex(lam), [1, 0])
+                data = self.read_values(tmp_path / ("%s_solution_%03d.csv" % (out, k)))
+                self.assert_bits_equal(data[:, 0], problem.grid.nodes)
+                self.assert_bits_equal(data[:, 1:5], np.asarray(sol.Y, complex).view(float))
+                self.assert_bits_equal(data[:, 1:5], ref.Y.view(float))
+                self.assert_bits_equal(data[:, 5], sol.residual_nodes)
+                self.assert_bits_equal(data[:, 5], ref.residual_nodes)
 
     def test_spectrum_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "e"))

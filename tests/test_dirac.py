@@ -7,8 +7,9 @@ from diracnsbf.dirac import (
     ResidualError,
     apply_A,
     apply_S,
-    dirac_residual,
+    dirac_residual_nodes,
     free_solution,
+    free_solution_dlambda,
     fundamental_solution_zero,
     invert_unimodular,
     matrix_norm,
@@ -18,6 +19,11 @@ from diracnsbf.grid import Grid, GridMismatchError, differentiate
 from oracles import const_q_solution
 
 BT_MAT = B_MAT.T
+
+
+def dirac_residual(Y, Q, lam):
+    """Max interior-node norm of B Y' + Q Y - lambda Y."""
+    return float(np.max(dirac_residual_nodes(Y, Q, lam)[1:-1]))
 
 
 def smooth_potential(grid):
@@ -41,6 +47,19 @@ class TestFreeSolution:
         assert abs(U[0, 0] - 1.5430806348152437) < 1e-12
         assert abs(U[0, 1] - (-1j * np.sinh(1.0))) < 1e-12
         assert abs(U[1, 0] - 1j * np.sinh(1.0)) < 1e-12
+
+    def test_dtype_follows_lambda_x(self):
+        # cos and sin of a complex argument with a zero imaginary part give
+        # the real values exactly, with imaginary parts of either sign; only
+        # the sign of a zero may differ (z = -0 at x = 0 for lam < 0)
+        x = np.linspace(0.0, 1.0, 2001)
+        for lam in (0.0, -7.25, 3.7, 423.0, -3e4):
+            for fn in (free_solution, free_solution_dlambda):
+                real, cplx = fn(lam, x), fn(complex(lam), x)
+                assert real.dtype == np.float64 and cplx.dtype == np.complex128
+                assert not cplx.imag.any()
+                np.testing.assert_array_equal(real, cplx.real)
+        assert free_solution(2.0 + 1j, x).dtype == np.complex128
 
     def test_array_argument(self):
         x = np.linspace(0, 1, 11)

@@ -2,8 +2,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracnsbf.exprparse import ParseError, evaluate, evaluate_on_grid, parse, to_source
+from diracnsbf.exprparse import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    ParseError,
+    Var,
+    evaluate,
+    evaluate_on_grid,
+    parse,
+)
 from diracnsbf.grid import Grid
+
+
+def to_source(node):
+    """Fully parenthesized source form; parse(to_source(t)) == t."""
+    if isinstance(node, Num):
+        v = node.value
+        if v.imag == 0.0:
+            return repr(v.real)
+        if v.real == 0.0:
+            return repr(v.imag) + "i"
+        return "(%r+%ri)" % (v.real, v.imag)
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        return "(-%s)" % to_source(node.operand)
+    if isinstance(node, BinOp):
+        return "(%s%s%s)" % (to_source(node.lhs), node.op, to_source(node.rhs))
+    if isinstance(node, Call):
+        return "%s(%s)" % (node.name, to_source(node.arg))
+    raise TypeError("not an expression node: %r" % (node,))
 
 
 def val(src, x=None):

@@ -166,6 +166,18 @@ class TestDifferentiate:
             d[:, 0, 1], 2j * np.exp(2j * g.nodes), atol=1e-9
         )
 
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+    def test_real_samples_round_as_complex_ones(self, shape):
+        # the edge stencils and the 1/h scaling must round alike for both,
+        # so that a float64 residual is the real part of the complex one
+        g = Grid(1.7, 2000)
+        f = np.random.default_rng(3).standard_normal((g.size,) + shape) * 1e3
+        d = differentiate(g, f)
+        dc = differentiate(g, f.astype(complex))
+        assert d.dtype == np.float64
+        assert not dc.imag.any()
+        np.testing.assert_array_equal(d.view(np.uint64), dc.real.copy().view(np.uint64))
+
 
 class TestPointwiseAlgebra:
     def test_scale_by_nodes(self):

@@ -232,3 +232,82 @@ class TestSolveIvp:
     def test_realness(self, trig_ev):
         sol = solve_ivp(trig_ev, 2.0, (1.0, 1.0))
         assert np.max(np.abs(sol.Y.imag)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def complex_ev():
+    g = Grid(1.0, 1000)
+    Q = Potential.from_functions(g, lambda x: np.sin(3 * x) + 0.5j * x, lambda x: 1 + x)
+    return build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 12))
+
+
+class TestRealPath:
+    """A real lambda on a real potential evaluates in float64, bit for bit
+    the real part of the complex evaluation; any complex input keeps the
+    complex path."""
+
+    LAMS = (0.0, -7.25, 3.7, 25.0, -390.5, 3e4)
+
+    def test_dtypes(self, trig_ev, complex_ev):
+        x = trig_ev.grid.nodes
+        assert trig_ev.Ktilde.dtype == np.float64
+        for lam in (4.0, 4.0 + 0j, np.array([[1.0], [-2.0 + 0j]])):
+            U, dU = evaluate_U(trig_ev, lam, 0.5, derivative=True)
+            assert U.dtype == dU.dtype == np.float64
+            assert evaluate_U(trig_ev, lam, x).dtype == np.float64
+        assert evaluate_U(trig_ev, 4.0 + 1j, x).dtype == np.complex128
+        assert evaluate_U(trig_ev, np.array([1.0, 2.0 + 1j]), 0.5).dtype == np.complex128
+        assert complex_ev.Ktilde.dtype == np.complex128
+        assert evaluate_U(complex_ev, 4.0, x).dtype == np.complex128
+        sol = solve_ivp(trig_ev, 4.0 + 0j, np.array([1.0, 0.5], dtype=complex))
+        assert sol.Y.dtype == sol.residual_nodes.dtype == np.float64
+        assert solve_ivp(trig_ev, 4.0, (1.0, 0.5j)).Y.dtype == np.complex128
+        assert solve_ivp(trig_ev, 4.0 + 1j, (1.0, 0.5)).Y.dtype == np.complex128
+        assert solve_ivp(complex_ev, 4.0, (1.0, 0.5)).Y.dtype == np.complex128
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_nodes_bitwise(self, trig_ev, complex_path, derivative):
+        for lam in self.LAMS:
+            complex_path.check(evaluate_U, trig_ev, lam, trig_ev.grid.nodes, derivative)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_off_nodes_bitwise(self, trig_ev, complex_path, derivative):
+        x = np.random.default_rng(8).uniform(0.0, 1.0, 500)
+        for lam in self.LAMS:
+            complex_path.check(evaluate_U, trig_ev, lam, x, derivative)
+        complex_path.check(evaluate_U, trig_ev, np.array(self.LAMS)[:, None], x, derivative)
+
+    def test_solve_bitwise(self, trig_ev, complex_path):
+        # a written-out U c: a real stacked matmul rounds unlike the complex one
+        for lam in self.LAMS:
+            for c in ((1.0, 0.0), (0.3, -2.0)):
+                sol = solve_ivp(trig_ev, lam, c)
+                ref = complex_path.run(solve_ivp, trig_ev, lam, c)
+                complex_path.assert_real_part(sol.Y, ref.Y)
+                np.testing.assert_array_equal(
+                    sol.residual_nodes.view(np.uint64), ref.residual_nodes.view(np.uint64)
+                )
+
+    @pytest.mark.parametrize("lam", [-7.25, 3.7, 40.0, 3.0 + 1.0j, -20.0 - 0.5j])
+    def test_complex_inputs_keep_the_complex_path(self, trig_ev, complex_ev, complex_path, lam):
+        # a complex potential at a real lambda adds a float64 free solution
+        # to a complex fold, and a complex lambda casts the float64 folded
+        # coefficients: both equal the all-complex evaluation bit for bit,
+        # imaginary parts included
+        x = np.r_[trig_ev.grid.nodes, 0.61237]
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        for ev in (complex_ev, trig_ev):
+            for got, ref in zip(
+                evaluate_U(ev, lam, x, derivative=True),
+                complex_path.run(evaluate_U, ev, lam, x, derivative=True),
+            ):
+                if got.dtype == np.complex128:
+                    np.testing.assert_array_equal(bits(got), bits(ref))
+            for c in ((1.0, 0.0), (0.3, -2.0j)):
+                sol = solve_ivp(ev, lam, c)
+                ref = complex_path.run(solve_ivp, ev, lam, c)
+                if sol.Y.dtype == np.complex128:
+                    np.testing.assert_array_equal(bits(sol.Y), bits(ref.Y))
+                    np.testing.assert_array_equal(
+                        bits(sol.residual_nodes), bits(ref.residual_nodes)
+                    )

@@ -7,10 +7,22 @@ from diracnsbf.special import (
     _UPWARD_IM_CAP,
     LEGENDRE_DEGREE_CAP,
     bessel_pair_batch,
-    legendre_eval,
     legendre_monomial_coeffs,
     legendre_seq,
 )
+
+
+def legendre_eval(n, s):
+    """P_n(s) by the three-term recurrence, s in [-1, 1] (scalar or array)."""
+    if n < 0:
+        raise ValueError("Legendre degree must be >= 0")
+    s = np.asarray(s, dtype=float)
+    if np.any(np.abs(s) > 1.0 + 1e-12):
+        raise ValueError("Legendre argument outside [-1, 1]")
+    out = legendre_seq(s, n)[n]
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def jn_seq(z, n_max):
@@ -213,6 +225,19 @@ class TestOverArg:
 
 
 class TestBesselPair:
+    def test_real_arguments_give_float64(self):
+        # float64 in, float64 out, bit for bit the real part of the values
+        # the same arguments get as complex ones
+        z = np.r_[0.0, 1e-7, -0.3, 0.45, np.linspace(-3e4, 3e4, 2001), 423.0]
+        for n_max in (1, 17, 65):
+            real = bessel_pair_batch(z, n_max)
+            cplx = bessel_pair_batch(z.astype(complex), n_max)
+            for r, c in zip(real, cplx):
+                assert r.dtype == np.float64 and c.dtype == np.complex128
+                assert not c.imag.any()
+                np.testing.assert_array_equal(r.view(np.uint64), c.real.copy().view(np.uint64))
+        assert bessel_pair_batch(np.array([2.0 + 1j]), 3)[0].dtype == np.complex128
+
     def test_pair_consistency(self):
         z = np.array([0.0, 1e-5, 0.2, 0.8, 10.0, 3.0 - 1.0j])
         jn, jz = bessel_pair_batch(z, 12)

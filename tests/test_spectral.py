@@ -6,7 +6,8 @@ from diracnsbf.dirac import Potential, fundamental_solution_zero
 from diracnsbf.gauge import diagonal_to_canonical, rotate_boundary_blocks, rotation
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients
-from diracnsbf.solution import build_evaluator
+from diracnsbf import spectral
+from diracnsbf.solution import build_evaluator, evaluate_U
 from diracnsbf.spectral import (
     BoundaryCondition,
     ScanOptions,
@@ -246,6 +247,69 @@ class TestScan:
         with pytest.warns(UserWarning):
             recs = scan_eigenvalues(free_ev, bc, 0.5, 2.5)
         assert recs == []
+
+
+class TestRealPath:
+    """Real lambdas on the real gauge problem give a float64 Delta and
+    slope, bit for bit the real parts of the complex evaluation."""
+
+    def test_dtypes(self, readme_gauge):
+        ev, bc = readme_gauge
+        lams = np.array([-3.0, 0.0, 41.5])
+        delta, slope = char_function(ev, bc, lams)
+        assert delta.dtype == slope.dtype == np.float64
+        assert char_function(ev, bc, 2.0 + 0j, derivative=False).dtype == np.float64
+        assert bc.block("right", 0.0).dtype == np.float64
+        delta, slope = char_function(ev, bc, lams + 1j)
+        assert delta.dtype == slope.dtype == np.complex128
+        complex_bc = BoundaryCondition(left=bc.left, right=(1 + 1j) * bc.right)
+        assert char_function(ev, complex_bc, lams)[0].dtype == np.complex128
+
+    def test_scan_grid_bitwise(self, readme_gauge, complex_path):
+        ev, bc = readme_gauge
+        grid = np.linspace(-331.0, 423.0, int(np.ceil(754.0 / (np.pi / 10.0))) + 1)
+        assert grid.size == 2402
+        delta = complex_path.check(char_function, ev, bc, grid, derivative=False)
+        with_slope = complex_path.check(char_function, ev, bc, grid)
+        np.testing.assert_array_equal(delta.view(np.uint64), with_slope[0].view(np.uint64))
+
+    def test_window_points_bitwise(self, readme_gauge, complex_path):
+        ev, bc = readme_gauge
+        lams = np.random.default_rng(12).uniform(-331.0, 423.0, 5000)
+        complex_path.check(char_function, ev, bc, lams)
+
+    def test_wide_range_bitwise(self, readme_gauge, complex_path):
+        ev, bc = readme_gauge
+        complex_path.check(char_function, ev, bc, np.linspace(-3e4, 3e4, 20001))
+
+    def test_scan_passes(self, readme_gauge, complex_path, monkeypatch):
+        # one grid pass without the slope, no separate real-axis probe, and
+        # the refinement rounds: six Bessel passes, and the eigenvalues of
+        # the all-complex scan bit for bit
+        ev, bc = readme_gauge
+        ref = complex_path.run(scan_eigenvalues, ev, bc, -331.0, 423.0)
+        passes = []
+
+        def counted(ev, lam, x, derivative=False):
+            passes.append((np.size(lam), derivative))
+            return evaluate_U(ev, lam, x, derivative)
+
+        monkeypatch.setattr(spectral, "evaluate_U", counted)
+        recs = scan_eigenvalues(ev, bc, -331.0, 423.0)
+        assert [p for p in passes if not p[1]] == [(2402, False)]
+        assert all(size != 101 for size, _ in passes)
+        assert len(passes) == 6
+        assert len(recs) == len(ref) == 240
+        for r, r_ref in zip(recs, ref):
+            assert (r.index, r.iterations, r.converged) == (
+                r_ref.index,
+                r_ref.iterations,
+                r_ref.converged,
+            )
+            assert np.float64(r.lam).view(np.uint64) == np.float64(r_ref.lam).view(np.uint64)
+            assert np.float64(r.residual).view(np.uint64) == np.float64(r_ref.residual).view(
+                np.uint64
+            )
 
 
 class TestGauge:
