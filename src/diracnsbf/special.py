@@ -18,9 +18,6 @@ special casing by callers.  Each argument takes one of three routes:
   recurrence from a start of the argument's own, normalized against a
   closed form.  Arguments with Im z == 0 run in float64, and no values
   depend on the rest of the batch.
-
-A float64 argument array gives float64 values; a complex one gives
-complex values, whose imaginary parts are exactly zero where Im z == 0.
 """
 
 from dataclasses import dataclass
