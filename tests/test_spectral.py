@@ -299,17 +299,9 @@ class TestRealPath:
         assert [p for p in passes if not p[1]] == [(2402, False)]
         assert all(size != 101 for size, _ in passes)
         assert len(passes) == 6
-        assert len(recs) == len(ref) == 240
-        for r, r_ref in zip(recs, ref):
-            assert (r.index, r.iterations, r.converged) == (
-                r_ref.index,
-                r_ref.iterations,
-                r_ref.converged,
-            )
-            assert np.float64(r.lam).view(np.uint64) == np.float64(r_ref.lam).view(np.uint64)
-            assert np.float64(r.residual).view(np.uint64) == np.float64(r_ref.residual).view(
-                np.uint64
-            )
+        # nonzero lambdas and nonnegative residuals: equal values, equal bits
+        assert len(recs) == 240
+        assert recs == ref
 
 
 class TestGauge:
