@@ -34,6 +34,7 @@ endings; identical configs yield byte-identical files.
 """
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import os
@@ -625,7 +626,23 @@ def cmd_validate(problem, args):
     return 0 if ok else 1
 
 
+@functools.cache
+def _pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds (mallopt -3 and -1) at the values
+    its dynamic scheme reaches once a 32 MiB block is freed, so that a
+    command's temporaries reuse heap memory however the process allocated
+    before, instead of being mapped or faulted in afresh per call.  True
+    when set; another C library is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20))
+
+
 def main(argv=None):
+    _pin_malloc_thresholds()
     ap = argparse.ArgumentParser(
         prog="diracnsbf",
         description="Dirac-system solver based on Neumann series of Bessel functions",

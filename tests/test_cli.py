@@ -1,5 +1,6 @@
 import functools
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -586,3 +587,33 @@ def test_entry_point_smoke(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_main_keeps_freed_memory_for_the_next_command(tmp_path):
+    """After main, temporaries below 32 MiB reuse freed heap memory: the
+    dynamic thresholds would be set by a freed 1 MiB array and trim the
+    heap top after each group of 0.96 MB arrays, faulting it in again."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("p_expr = 0\nq_expr = 0\nM = 50\nN = 2\nout = %s\n" % (tmp_path / "m"))
+    code = """
+import resource, sys
+import numpy as np
+from diracnsbf.cli import main
+assert main(["kernel", "--config", sys.argv[1]]) == 0
+np.ones(1 << 17)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(120_000) for _ in range(4)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[1:]))
+"""
+    package_dir = os.path.dirname(os.path.abspath(diracnsbf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 50
