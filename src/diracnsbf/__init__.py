@@ -10,7 +10,6 @@ index.
 """
 
 from .dirac import (
-    B_MAT,
     HomogeneousSolution,
     Potential,
     ResidualError,

@@ -321,16 +321,18 @@ class Problem:
 
     def _load_cached(self, path):
         """Coefficients from a cache file, or None when it cannot be read
-        (or its arrays lack the grid's shape or the potential's dtype)."""
+        (or its arrays lack the grid's shape or the potential's dtype, or
+        U is not unimodular).  The file holds K and U only: N is the order
+        count of K, and U^-1 is the adjugate of U, bit for bit as built."""
         shape = (self.grid.size, 2, 2)
         try:
             with np.load(path) as data:
-                N, K = int(data["N"]), data["K"]
-                U, Uinv = data["U"], data["Uinv"]
-            if U.shape != shape or Uinv.shape != shape or K.shape != (N + 2,) + shape:
+                K, U = data["K"], data["U"]
+            if U.shape != shape or K.shape[1:] != shape or len(K) < 2:
                 raise ValueError("array shapes do not match the grid")
-            if not K.dtype == U.dtype == Uinv.dtype == self.potential.p.dtype:
+            if not K.dtype == U.dtype == self.potential.p.dtype:
                 raise ValueError("array dtypes do not match the potential")
+            Uinv = dirac.invert_unimodular(U)
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             print(
                 "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),
@@ -339,7 +341,7 @@ class Problem:
             return None
         hom = HomogeneousSolution(grid=self.grid, U=U, Uinv=Uinv)
         return KernelCoefficients(
-            grid=self.grid, potential=self.potential, hom=hom, N=N, K=K
+            grid=self.grid, potential=self.potential, hom=hom, N=len(K) - 2, K=K
         )
 
     def _store_cached(self, path, coeffs):
@@ -349,9 +351,7 @@ class Problem:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh, N=coeffs.N, K=coeffs.K, U=coeffs.hom.U, Uinv=coeffs.hom.Uinv
-                )
+                np.savez(fh, K=coeffs.K, U=coeffs.hom.U)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -12,6 +12,12 @@ complex.  This module holds the potential, the free solution
 inverse obtained from unimodularity, the variation-of-parameters operator
 S that solves B Y' + Q Y = H with Y(0) = 0, and finite-difference residual
 diagnostics used throughout the test surface.
+
+The RK4 step maps, their composition and S are written entry by entry on
+contiguous vectors, one per matrix entry: B acts only through the sign
+and the index of each term, never as an array product or a copy.  Each
+entry keeps the operand order and signs of the stacked 2x2 form, so the
+results are that form's bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +34,6 @@ from .grid import (
 )
 
 __all__ = [
-    "B_MAT",
     "I2",
     "ResidualError",
     "Potential",
@@ -42,7 +47,6 @@ __all__ = [
     "matrix_norm",
 ]
 
-B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 I2 = np.eye(2)
 
 
@@ -239,6 +243,13 @@ class HomogeneousSolution:
     U: np.ndarray
     Uinv: np.ndarray
 
+    @cached_property
+    def entries(self):
+        """U and Uinv entry-major, (2, 2, M + 1), made once for every apply_S."""
+        return tuple(
+            np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (self.U, self.Uinv)
+        )
+
     @property
     def det_defect(self):
         det = self.U[:, 0, 0] * self.U[:, 1, 1] - self.U[:, 0, 1] * self.U[:, 1, 0]
@@ -277,45 +288,53 @@ def _b_right(X):
     return out
 
 
-def _coefficient_samples(Q, substeps):
-    """B Q(x) on the refinement needed by the RK4 sweep (h/substeps/2)."""
-    grid = Q.grid
-    n_fine = 2 * grid.M * substeps
-    x = np.linspace(0.0, grid.b, n_fine + 1)
-    p, q = Q.values_at(x)
-    A = np.empty((n_fine + 1, 2, 2), dtype=np.result_type(p, q))
-    # B Q = [[q, -p], [-p, -q]]
-    A[:, 0, 0] = q
-    A[:, 0, 1] = -p
-    A[:, 1, 0] = -p
-    A[:, 1, 1] = -q
-    return A
+def _rk4_step_maps(p, q, h):
+    """D_k of every RK4 step u -> (I + D_k) u of u' = A u, in one batch.
 
-
-def _rk4_step_maps(A, h):
-    """D_k of every RK4 step u -> (I + D_k) u of u' = A u, in one expression.
-
-    Step k uses the samples a0, am, a1 = A[2k], A[2k + 1], A[2k + 2]; the
-    classical stages expand to
+    A = B Q = [[q, -p], [-p, -q]] comes as the samples p and q; step k
+    uses a0, am, a1 = A(x_2k), A(x_2k+1), A(x_2k+2), and the classical
+    stages expand to
 
         D = h/6 [(a0 + 4 am + a1) + h (am a0 + am^2 + a1 am)
                  + h^2/2 (am^2 a0 + a1 am^2) + h^3/4 a1 am^2 a0].
 
-    A = B Q is trace-free, so am^2 = (p^2 + q^2) I exactly (also in
-    floating point), which leaves three genuine 2x2 products.
+    A is trace-free, so am^2 = (p^2 + q^2) I exactly (also in floating
+    point), which leaves three genuine 2x2 products.  Everything is written
+    entry by entry on the sample vectors, in the operand order and with
+    the signs of the stacked 2x2 form, so D is that form's bit for bit.
+    Returns D as a (2, 2, steps) array, one contiguous vector per entry.
     """
-    a0, am, a1 = A[0:-1:2], A[1::2], A[2::2]
-    s = (am[:, 0, 0] ** 2 + am[:, 0, 1] ** 2)[:, None, None]  # am^2 = s I
-    ends = a0 + a1
-    D = 4.0 * am + ends + h * (_mul2(am, a0) + _mul2(a1, am) + s * I2)
-    D += (0.5 * h * h) * s * ends + (0.25 * h**3) * s * _mul2(a1, a0)
-    D *= h / 6.0
+    n = (len(p) - 1) // 2
+    # (a, b, c) = (q, -p, -q), the entries of A = [[a, b], [b, c]], each at
+    # the samples a0, am and a1 of every step
+    a0, am, a1 = zip(*([v[k : k + 2 * n : 2] for k in range(3)] for v in (q, -p, -q)))
+
+    def product(x, y):
+        # entries 00, 01 and 10 of x y; 11 is b b + c c = a a + b b bit for bit
+        (xa, xb, xc), (ya, yb, yc) = x, y
+        return xa * ya + xb * yb, xa * yb + xb * yc, xb * ya + xc * yb
+
+    s = am[0] ** 2 + am[1] ** 2  # am^2 = s I
+    ends = [u + v for u, v in zip(a0, a1)]  # a0 + a1, as (a, b, c)
+    edge = [4.0 * u + e for u, e in zip(am, ends)]  # 4 am + a0 + a1
+    m1, m2, m3 = product(am, a0), product(a1, am), product(a1, a0)
+    # h (am a0 + a1 am + s I), s I rounded as s * I2: s * 1.0, s * 0.0
+    mid = [h * ((m1[k] + m2[k]) + s * (1.0 if k == 0 else 0.0)) for k in range(3)]
+    k2s, k3s = (0.5 * h * h) * s, (0.25 * h**3) * s
+    D = np.empty((2, 2, n), dtype=s.dtype)
+    # entry ij takes (a, b, c)[e] of A and the product entry k (11 is 00)
+    for ij, e, k in (((0, 0), 0, 0), ((0, 1), 1, 1), ((1, 0), 1, 2), ((1, 1), 2, 0)):
+        entry = (edge[e] + mid[k]) + (k2s * ends[e] + k3s * m3[k])
+        np.multiply(entry, h / 6.0, out=D[ij])
     return D
 
 
 def _compose(Dl, De):
-    """D of (I + Dl)(I + De): the later map on the left, I never formed."""
-    return Dl + De + _mul2(Dl, De)
+    """D of (I + Dl)(I + De): the later map on the left, I never formed.
+
+    Dl and De are entry-major, (2, 2, ...): one contiguous vector per entry.
+    """
+    return Dl + De + (Dl[:, :1] * De[:1] + Dl[:, 1:] * De[1:])
 
 
 def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
@@ -340,19 +359,20 @@ def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
     potential.
     """
     grid = Q.grid
-    A = _coefficient_samples(Q, substeps)
-    D = _rk4_step_maps(A, grid.h / substeps).reshape(grid.M, substeps, 2, 2)
-    cells = D[:, 0]
+    # p and q at every half step of the refinement
+    p, q = Q.values_at(np.linspace(0.0, grid.b, 2 * grid.M * substeps + 1))
+    D = _rk4_step_maps(p, q, grid.h / substeps).reshape(2, 2, grid.M, substeps)
+    cells = D[..., 0]
     for k in range(1, substeps):
-        cells = _compose(D[:, k], cells)
-    # after the round with offset d, cells[i] composes cells i - 2d + 1..i
+        cells = _compose(D[..., k], cells)
+    # after the round with offset d, cell i composes cells i - 2d + 1..i
     d = 1
     while d < grid.M:
-        cells[d:] = _compose(cells[d:], cells[:-d])
+        cells[..., d:] = _compose(cells[..., d:], cells[..., :-d])
         d *= 2
     U = np.empty((grid.size, 2, 2), dtype=cells.dtype)
     U[0] = I2
-    U[1:] = cells + I2
+    U[1:] = cells.transpose(2, 0, 1) + I2
     if check:
         det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]
         defect = float(np.max(np.abs(det - 1.0)))
@@ -384,12 +404,19 @@ def homogeneous_residual(hom, Q):
 def apply_S(H, hom):
     """Solution of B Y' + Q Y = H with Y(0) = 0, by variation of parameters.
 
-    Y(x) = U(0, x) int_0^x U^{-1}(0, t) B^T H(t) dt  with  B^T = -B.
+    Y(x) = U(0, x) int_0^x U^{-1}(0, t) B^T H(t) dt  with  B^T = -B,
+
+    so the integrand has the entries Uinv[i,0] (-H[1,j]) + Uinv[i,1] H[0,j].
+    H is node-major, (M + 1, 2, 2); so is the result, a view of entry-major
+    memory.
     """
     H = np.asarray(H)
     check_same_grid(hom.grid, H)
-    integrand = _mul2(hom.Uinv, -_b_left(H))
-    return _mul2(hom.U, indefinite_integral(hom.grid, integrand))
+    U, Uinv = hom.entries
+    He = np.ascontiguousarray(H.transpose(1, 2, 0))
+    integrand = Uinv[:, :1] * -He[1:] + Uinv[:, 1:] * He[:1]
+    F = indefinite_integral(hom.grid, integrand.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return (U[:, :1] * F[:1] + U[:, 1:] * F[1:]).transpose(2, 0, 1)
 
 
 def apply_A(grid, Y, Q):

@@ -169,6 +169,8 @@ def build_coefficients(Q, hom, N):
     an exact rewriting of the theta_n form in which x^{-n} times the
     integral is a weighted average: round-off stays bounded by the
     integrand scale instead of being amplified by x^{-n} near the origin.
+    Each order is written entry by entry, B C and C B as a sign and an
+    index per term, bit for bit the stacked 2x2 form (_recursion_step).
     Raises on NaN contamination, which indicates the grid cannot support
     the requested order.
     """
@@ -191,8 +193,10 @@ def _recurse(Q, hom, N, K=None):
     else:
         out[: len(K)] = K
         start = len(K) - 1
+    x = Q.grid.nodes
+    xpow = x ** (start - 1)
     for n in range(start, N + 1):
-        _recursion_step(out, n, Q, hom)
+        xpow = _recursion_step(out, n, x, xpow, hom)
     return out
 
 
@@ -203,19 +207,31 @@ def sanitize_cells(n, M):
     return min(int(np.ceil(_SANITIZE_CELLS * n * n)), M // _SANITIZE_CAP)
 
 
-def _recursion_step(K, n, Q, hom):
-    x = Q.grid.nodes
-    prev2 = K[n - 1]  # C_{n-2}
-    prev1 = K[n]  # C_{n-1}
-    Phi = -(2 * n - 1) * _b_left(prev2) + (2 * n - 3) * _b_right(prev1)
-    H = scale_by_nodes(x ** (n - 1), Phi)
-    Sval = apply_S(H, hom)
+def _recursion_step(K, n, x, xpow, hom):
+    """Write C_n into K[n + 1] from C_{n-2} and C_{n-1}; xpow is x^(n-1).
+
+    B X = [[X10, X11], [-X00, -X01]] and X B = [[-X01, X00], [-X11, X10]]
+    enter each entry as a sign and an index.  Returns x^n, the next xpow.
+    """
+    a = K[n - 1].transpose(1, 2, 0)  # C_{n-2}, entries first
+    c = K[n].transpose(1, 2, 0)  # C_{n-1}
+    al, be = -(2 * n - 1), 2 * n - 3
+    # H = x^(n-1) (al B C_{n-2} + be C_{n-1} B)
+    H = np.empty_like(a, order="C")
+    H[0, 0] = al * a[1, 0] + be * -c[0, 1]
+    H[0, 1] = al * a[1, 1] + be * c[0, 0]
+    H[1, 0] = al * -a[0, 0] + be * -c[1, 1]
+    H[1, 1] = al * -a[0, 1] + be * c[1, 0]
+    H *= xpow
+    S = apply_S(H.transpose(2, 0, 1), hom).transpose(1, 2, 0)
     # x^-n times S, as a complex quotient rounds it (a reciprocal, then a
     # product), so that a real build equals the real part of a complex one
-    xn = (x**n)[:, None, None]
-    avg = Sval * np.divide(1.0, xn, out=np.zeros_like(xn), where=xn > 0.0)
-    K[n + 1] = ((2 * n + 1) / (2 * n - 3)) * (prev2 + avg)
-    K[n + 1][: sanitize_cells(n, Q.grid.M) + 1] = 0.0
+    xn = x**n
+    S *= np.divide(1.0, xn, out=np.zeros_like(xn), where=xn > 0.0)
+    S += a
+    np.multiply((2 * n + 1) / (2 * n - 3), S, out=K[n + 1].transpose(1, 2, 0))
+    K[n + 1][: sanitize_cells(n, len(x) - 1) + 1] = 0.0
+    return xn
 
 
 def _finalize(Q, hom, N, K):

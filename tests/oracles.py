@@ -5,7 +5,9 @@ library paths it checks: constant-coefficient problems use the closed-form
 exponential of a traceless 2x2 matrix, the diagonal-potential benchmark
 problem reduces to an exactly solvable Airy equation, and the
 transmutation kernel is integrated directly along characteristics of its
-defining hyperbolic system.
+defining hyperbolic system.  The stacked forms at the end are the
+exception: they are the coefficient build as it was written on stacked
+(n, 2, 2) arrays, which the entry-by-entry build must equal bit for bit.
 """
 
 import mpmath as mp
@@ -176,3 +178,93 @@ def goursat_kernel(p_fn, q_fn, b, n=30, sweeps=4):
             pts_t.append(t)
             kmats.append([[k11, k12], [k21, k22]])
     return np.array(pts_x), np.array(pts_t), np.array(kmats)
+
+
+# ---------------------------------------------------------------------------
+# The coefficient build on stacked (n, 2, 2) arrays: B as a signed row or
+# column permutation (a copy), every 2x2 product through dirac._mul2.  The
+# library writes the same formulas entry by entry on contiguous vectors and
+# must reproduce these bit for bit, for real and complex potentials alike.
+# ---------------------------------------------------------------------------
+
+
+def stacked_step_maps(Q, substeps):
+    """RK4 step maps D_k as one (steps, 2, 2) array, from the (2 steps + 1,
+    2, 2) samples of A = B Q."""
+    from diracnsbf.dirac import I2, _mul2
+
+    grid = Q.grid
+    n_fine = 2 * grid.M * substeps
+    p, q = Q.values_at(np.linspace(0.0, grid.b, n_fine + 1))
+    A = np.empty((n_fine + 1, 2, 2), dtype=np.result_type(p, q))
+    A[:, 0, 0] = q
+    A[:, 0, 1] = -p
+    A[:, 1, 0] = -p
+    A[:, 1, 1] = -q
+    h = grid.h / substeps
+    a0, am, a1 = A[0:-1:2], A[1::2], A[2::2]
+    s = (am[:, 0, 0] ** 2 + am[:, 0, 1] ** 2)[:, None, None]
+    ends = a0 + a1
+    D = 4.0 * am + ends + h * (_mul2(am, a0) + _mul2(a1, am) + s * I2)
+    D += (0.5 * h * h) * s * ends + (0.25 * h**3) * s * _mul2(a1, a0)
+    D *= h / 6.0
+    return D
+
+
+def stacked_propagator(Q, substeps=10):
+    """(U, Uinv) of U(0, x): the stacked step maps, composed per cell and
+    by the doubling scan with stacked products."""
+    from diracnsbf.dirac import I2, _mul2, invert_unimodular
+
+    def compose(Dl, De):
+        return Dl + De + _mul2(Dl, De)
+
+    grid = Q.grid
+    D = stacked_step_maps(Q, substeps).reshape(grid.M, substeps, 2, 2)
+    cells = D[:, 0]
+    for k in range(1, substeps):
+        cells = compose(D[:, k], cells)
+    d = 1
+    while d < grid.M:
+        cells[d:] = compose(cells[d:], cells[:-d])
+        d *= 2
+    U = np.empty((grid.size, 2, 2), dtype=cells.dtype)
+    U[0] = I2
+    U[1:] = cells + I2
+    return U, invert_unimodular(U)
+
+
+def stacked_apply_S(H, hom):
+    """S[H] = U int_0^x U^{-1} (-B H), with stacked products."""
+    from diracnsbf.dirac import _b_left, _mul2
+    from diracnsbf.grid import indefinite_integral
+
+    integrand = _mul2(hom.Uinv, -_b_left(H))
+    return _mul2(hom.U, indefinite_integral(hom.grid, integrand))
+
+
+def stacked_recurse(Q, hom, N, K=None):
+    """Unguarded C_-1..C_N by the stacked recursion step (same signature
+    as kernel._recurse, so that it can stand in for it)."""
+    from diracnsbf.dirac import I2, _b_left, _b_right
+    from diracnsbf.grid import scale_by_nodes
+    from diracnsbf.kernel import sanitize_cells
+
+    out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
+    if K is None:
+        out[1] = 0.5 * (hom.U - I2)
+        out[0] = -out[1]
+        start = 1
+    else:
+        out[: len(K)] = K
+        start = len(K) - 1
+    x = Q.grid.nodes
+    for n in range(start, N + 1):
+        prev2, prev1 = out[n - 1], out[n]
+        Phi = -(2 * n - 1) * _b_left(prev2) + (2 * n - 3) * _b_right(prev1)
+        Sval = stacked_apply_S(scale_by_nodes(x ** (n - 1), Phi), hom)
+        xn = (x**n)[:, None, None]
+        avg = Sval * np.divide(1.0, xn, out=np.zeros_like(xn), where=xn > 0.0)
+        out[n + 1] = ((2 * n + 1) / (2 * n - 3)) * (prev2 + avg)
+        out[n + 1][: sanitize_cells(n, Q.grid.M) + 1] = 0.0
+    return out

@@ -253,9 +253,10 @@ class TestCoefficientCache:
         code, out, err = run(["kernel", "--config", cfg], capsys)
         assert "cache hit" in out and err == ""
 
-    def test_cache_of_another_dtype_is_rebuilt(self, tmp_path, capsys):
-        # a complex cache file for a real potential (as written before real
-        # potentials were built in float64) is stale, not served
+    @staticmethod
+    def rebuilt_after_edit(tmp_path, capsys, edit, note):
+        """Build, let edit() change the arrays of the cache file, and check
+        that the next run rebuilds the same CSV after one stderr note."""
         cfg = write_config(
             tmp_path,
             "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 6\nout = %s\n" % (tmp_path / "d"),
@@ -266,18 +267,35 @@ class TestCoefficientCache:
         first = (tmp_path / "d_coeffs.csv").read_bytes()
         with np.load(cache) as data:
             arrays = {k: data[k] for k in data.files}
-        for key in ("K", "U", "Uinv"):
-            assert arrays[key].dtype == np.float64
-            arrays[key] = arrays[key].astype(complex)
+        edit(arrays)
         with open(cache, "wb") as fh:
             np.savez(fh, **arrays)
         code, out, err = run(["kernel", "--config", cfg], capsys)
         assert code == 0
         assert "built in" in out
-        assert err.count("\n") == 1 and "dtypes do not match the potential" in err
+        assert err.count("\n") == 1 and note in err
         assert (tmp_path / "d_coeffs.csv").read_bytes() == first
         code, out, err = run(["kernel", "--config", cfg], capsys)
         assert "cache hit" in out and err == ""
+
+    def test_cache_of_another_dtype_is_rebuilt(self, tmp_path, capsys):
+        # a complex cache file for a real potential (as written before real
+        # potentials were built in float64) is stale, not served
+        def edit(arrays):
+            # nothing derivable is stored: N is len(K) - 2, U^-1 the adjugate
+            assert sorted(arrays) == ["K", "U"]
+            for key in ("K", "U"):
+                assert arrays[key].dtype == np.float64
+                arrays[key] = arrays[key].astype(complex)
+
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "dtypes do not match the potential")
+
+    def test_cache_with_drifting_determinant_is_rebuilt(self, tmp_path, capsys):
+        # U^-1 is derived as the adjugate of U, the inverse only if det U = 1
+        def edit(arrays):
+            arrays["U"][-1] *= 1.01
+
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "not unimodular")
 
     def test_cache_token_tracks_build_constants(self, monkeypatch):
         from diracnsbf import cli, dirac, kernel

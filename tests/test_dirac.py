@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diracnsbf.dirac import (
-    B_MAT,
     Potential,
     ResidualError,
     apply_A,
@@ -18,6 +17,7 @@ from diracnsbf.grid import Grid, GridMismatchError, differentiate
 
 from oracles import const_q_solution
 
+B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 BT_MAT = B_MAT.T
 
 
@@ -163,9 +163,9 @@ class TestFundamentalSolution:
 
         step_maps = dirac._rk4_step_maps
 
-        def poisoned(A, h):
-            D = step_maps(A, h)
-            D[len(D) // 2, 0, 1] = np.nan
+        def poisoned(p, q, h):
+            D = step_maps(p, q, h)
+            D[0, 1, D.shape[-1] // 2] = np.nan
             return D
 
         monkeypatch.setattr(dirac, "_rk4_step_maps", poisoned)

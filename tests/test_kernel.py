@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diracnsbf.dirac import (
-    B_MAT,
     Potential,
     apply_A,
     fundamental_solution_zero,
@@ -16,6 +15,8 @@ from diracnsbf.kernel import (
 )
 
 from oracles import goursat_kernel
+
+B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
 def trig_potential(grid):
