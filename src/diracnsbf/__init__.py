@@ -19,16 +19,6 @@ from .dirac import (
     invert_unimodular,
 )
 from .exprparse import ParseError, evaluate, parse
-from .formal_powers import (
-    FormalPowerSet,
-    ParticularSolution,
-    build_formal_powers,
-    build_particular_solution,
-    kernel_coeffs_via_mapping,
-    mapped_coefficients,
-    phi_psi,
-    sign_calibration,
-)
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks, rotation
 from .grid import Grid, GridMismatchError, differentiate, indefinite_integral
 from .kernel import (
@@ -48,11 +38,7 @@ from .solution import (
     evaluate_U,
     solve_ivp,
 )
-from .special import (
-    LegendreMonomialTable,
-    bessel_pair_batch,
-    legendre_monomial_coeffs,
-)
+from .special import bessel_pair_batch
 from .spectral import (
     BoundaryCondition,
     EigenvalueRecord,

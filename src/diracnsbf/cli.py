@@ -3,8 +3,7 @@
 Commands
 --------
 kernel    build the kernel coefficients, dump them as CSV, report the
-          truncation residuals (optionally cross-checked against the
-          formal-powers route with --oracle mapping)
+          truncation residuals
 solve     evaluate initial-value solutions for a list of spectral
           parameters, one CSV per lambda
 spectrum  scan a real window for eigenvalues, write index/lambda CSV
@@ -22,8 +21,10 @@ with nodes matching the active grid), or nu_expr (a ZS potential routed
 through the canonical form).  With gauge_phi set, p_expr and q_expr are
 reinterpreted as the diagonal entries m1, m2 of a system B Z' +
 diag(m1, m2) Z = lambda Z, which is rotated to canonical form by the
-angle expression gauge_phi; boundary blocks are rotated along.  N is an
-integer or "auto" (tol-driven).  Every CSV value is written as exactly
+angle expression gauge_phi; boundary blocks are rotated along.  A
+potential that is not finite at some node (an expression, or a file cell
+that is nan or not a number) is a config error naming the first such
+node.  N is an integer or "auto" (tol-driven).  Every CSV value is written as exactly
 Python's "%.17g" by the vectorized writer `csvfmt.format_tables`, which
 formats each distinct column of a file once: a constant column (the order;
 the imaginary parts of a real potential's kernel, which is built in float64,
@@ -164,27 +165,44 @@ def _parse_block(text, name):
     return np.array(vals, dtype=complex).reshape(2, 2)
 
 
+def _on_grid(tree, grid, key):
+    """The expression's values on the nodes, all finite."""
+    try:
+        return evaluate_on_grid(tree, grid)
+    except ArithmeticError as exc:
+        raise ConfigError("%s: %s" % (key, exc))
+
+
 def _read_potential_file(path, grid):
     try:
         with open(path) as fh:
             header = fh.readline().strip().lower().split(",")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # a cell that is not a number reads as nan, caught below
+            rows = np.genfromtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError("cannot read potential file: %s" % exc)
+    except ValueError as exc:
+        raise ConfigError("bad potential file: %s" % " ".join(str(exc).split()))
     if rows.shape[0] != grid.size:
         raise ConfigError(
             "potential file has %d rows; the active grid needs %d"
             % (rows.shape[0], grid.size)
+        )
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(
+            "potential file has a non-finite or non-numeric cell at node %d (x = %.17g)"
+            % (i, grid.nodes[i])
         )
     if np.max(np.abs(rows[:, 0] - grid.nodes)) > 1e-12 * max(1.0, grid.b):
         raise ConfigError("potential file nodes do not match the active grid")
     if header == ["x", "p_re", "p_im", "q_re", "q_im"]:
         p = rows[:, 1] + 1j * rows[:, 2]
         q = rows[:, 3] + 1j * rows[:, 4]
-        return Potential(grid, p, q), None
+        return Potential(grid, p, q)
     if header == ["x", "nu_re", "nu_im"]:
-        zs = ZsPotential(grid, rows[:, 1] + 1j * rows[:, 2])
-        return zs_to_dirac(zs), zs
+        return zs_to_dirac(ZsPotential(grid, rows[:, 1] + 1j * rows[:, 2]))
     raise ConfigError(
         "unrecognized potential file header %r" % ",".join(header)
     )
@@ -214,7 +232,6 @@ class Problem:
                 raise ConfigError("N must be >= 0")
         self.out = cfg.get("out", "out")
         self.gauge_defect = None
-        self.zs = None
         self._load_potential()
         self._load_boundary()
 
@@ -240,11 +257,14 @@ class Problem:
                 q_tree = parse(cfg["q_expr"])
             except ParseError as exc:
                 raise ConfigError("bad potential expression: %s" % exc)
+            p = _on_grid(p_tree, self.grid, "p_expr")
+            q = _on_grid(q_tree, self.grid, "q_expr")
             if "gauge_phi" in cfg:
                 try:
                     phi_tree = parse(cfg["gauge_phi"])
                 except ParseError as exc:
                     raise ConfigError("bad gauge_phi: %s" % exc)
+                _on_grid(phi_tree, self.grid, "gauge_phi")
                 self.potential, self.gauge_defect = diagonal_to_canonical(
                     self.grid,
                     lambda x: evaluate(p_tree, x),
@@ -253,26 +273,26 @@ class Problem:
                 )
                 self._phi_tree = phi_tree
             else:
-                evaluate_on_grid(p_tree, self.grid)  # surfaces bad nodes early
-                evaluate_on_grid(q_tree, self.grid)
-                self.potential = Potential.from_functions(
+                self.potential = Potential(
                     self.grid,
-                    lambda x: evaluate(p_tree, x),
-                    lambda x: evaluate(q_tree, x),
+                    p,
+                    q,
+                    p_fn=lambda x: evaluate(p_tree, x),
+                    q_fn=lambda x: evaluate(q_tree, x),
                 )
         elif sources[1]:
-            self.potential, self.zs = _read_potential_file(
-                cfg["potential_file"], self.grid
-            )
+            self.potential = _read_potential_file(cfg["potential_file"], self.grid)
         else:
             try:
                 nu_tree = parse(cfg["nu_expr"])
             except ParseError as exc:
                 raise ConfigError("bad nu_expr: %s" % exc)
-            self.zs = ZsPotential.from_function(
-                self.grid, lambda x: evaluate(nu_tree, x)
+            zs = ZsPotential(
+                self.grid,
+                _on_grid(nu_tree, self.grid, "nu_expr"),
+                nu_fn=lambda x: evaluate(nu_tree, x),
             )
-            self.potential = zs_to_dirac(self.zs)
+            self.potential = zs_to_dirac(zs)
 
     def _load_boundary(self):
         cfg = self.cfg
@@ -393,52 +413,26 @@ def _write_csv(path, header, tables):
             fh.write(text)
 
 
-def _write_coeff_csv(path, grid, matrices_by_order, orders):
-    def tables():
-        for n, mats in zip(orders, matrices_by_order):
-            # (re, im) pairs of the entries 11, 12, 21, 22, in column order
-            entries = np.asarray(mats, dtype=complex).reshape(grid.size, 4).view(float)
-            yield np.column_stack((np.full(grid.size, n, dtype=float), grid.nodes, entries))
-
-    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", tables())
-
-
 def cmd_kernel(problem, args):
     reports = []
     coeffs = problem.coefficients(report_sink=reports)
+    grid = problem.grid
     path = problem.out + "_coeffs.csv"
-    orders = list(range(-1, coeffs.N + 1))
-    _write_coeff_csv(path, problem.grid, [coeffs.coeff(n) for n in orders], orders)
+
+    def tables():
+        # row k of K holds order k - 1; one order is cast to complex at a time
+        for k, mats in enumerate(coeffs.K):
+            # (re, im) pairs of the entries 11, 12, 21, 22, in column order
+            entries = np.asarray(mats, dtype=complex).reshape(grid.size, 4).view(float)
+            yield np.column_stack((np.full(grid.size, k - 1, dtype=float), grid.nodes, entries))
+
+    _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", tables())
     print("coefficients written to %s" % path)
     if reports and reports[0].probes:
         for N, sup_q, sup_0 in reports[0].probes:
             print("%d,%s,%s" % (N, _fmt(sup_q), _fmt(sup_0)))
     res = goursat_residuals(coeffs)
     print("%d,%s,%s" % (coeffs.N, _fmt(res.sup_Q_outer), _fmt(res.sup_0_outer)))
-    if args.oracle == "mapping":
-        from .formal_powers import mapped_coefficients, sign_calibration
-        from .special import LEGENDRE_DEGREE_CAP
-
-        n_map = min(coeffs.N, LEGENDRE_DEGREE_CAP)
-        mapped = mapped_coefficients(problem.potential, coeffs.hom, n_map)
-        map_path = problem.out + "_coeffs_mapping.csv"
-        map_orders = [-1] + list(range(n_map + 1))
-        _write_coeff_csv(
-            map_path, problem.grid, np.concatenate((-mapped[:1], mapped)), map_orders
-        )
-        diff = float(np.max(np.abs(mapped - coeffs.coeffs[: n_map + 1])))
-        cal = sign_calibration()
-        print("mapping oracle written to %s" % map_path)
-        print(
-            "sign_calibration,phi_odd=%d,phi_even=%d,psi_odd=%d,psi_even=%d"
-            % (
-                cal[("phi", "odd")],
-                cal[("phi", "even")],
-                cal[("psi", "odd")],
-                cal[("psi", "even")],
-            )
-        )
-        print("max_coeff_difference,%s" % _fmt(diff))
     return 0
 
 
@@ -578,25 +572,6 @@ def _run_checks(problem):
         np.max(np.abs(evaluate_U(ev0, 3.3, grid.b) - free_solution(3.3, grid.b))),
         1e-13,
     )
-    # recursion vs mapping, small orders
-    from .formal_powers import mapped_coefficients
-    from .special import legendre_monomial_coeffs
-
-    n_map = min(8, N)
-    mapped = mapped_coefficients(Q, hom, n_map)
-    table = legendre_monomial_coeffs(n_map)
-    eta_scale = np.sqrt(2.0 * grid.size)
-    eps = np.finfo(float).eps
-    worst = 0.0
-    for n in range(n_map + 1):
-        ref = coeffs.coeff(n)
-        num = np.sqrt(np.sum(np.abs(mapped[n] - ref) ** 2))
-        den = np.sqrt(np.sum(np.abs(ref) ** 2))
-        # conditioning floor of the monomial-basis assembly; the 200x
-        # margin absorbs the quadrature component on coarse grids
-        floor = 200 * eps * (n + 0.5) * np.sum(np.abs(table.coeffs[n])) * eta_scale
-        worst = max(worst, num / max(1e-8 * den, floor))
-    record("recursion_vs_mapping", worst, 1.0)
     # derivative against central differences
     ev = build_evaluator(coeffs)
     worst = 0.0
@@ -655,12 +630,6 @@ def main(argv=None):
         action="append",
         metavar="KEY=VALUE",
         help="override a config key (repeatable)",
-    )
-    ap.add_argument(
-        "--oracle",
-        choices=["mapping", "none"],
-        default="none",
-        help="kernel: also compute coefficients via the formal-powers route",
     )
     ap.add_argument("--json", action="store_true", help="validate: machine-readable report")
     ap.add_argument("--lambdas", help="solve: comma-separated spectral parameters")

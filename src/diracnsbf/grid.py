@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "GridMismatchError",
     "indefinite_integral",
-    "indefinite_integral_weighted",
     "differentiate",
     "scale_by_nodes",
     "cubic_interp",
@@ -80,6 +79,8 @@ def check_same_grid(grid, *values):
 def _lagrange_rows():
     # Exact monomial coefficients (in the block variable s, units of h) of
     # the Lagrange basis polynomials through nodes 0..5, one row per node.
+    # The weighted quadrature of the tests' formal-powers oracle reads them
+    # too, so both rules interpolate a block alike.
     rows = []
     for j in range(BLOCK + 1):
         poly = [Fraction(1)]
@@ -93,8 +94,6 @@ def _lagrange_rows():
 
 
 _ROWS = _lagrange_rows()
-# _LAGRANGE[j, i]: coefficient of s^i in basis polynomial j.
-_LAGRANGE = np.array([[float(c) for c in row] for row in _ROWS])
 # _W[k, j]: integral over [0, k] of basis polynomial j; row 5 is the
 # classical 6-point closed Newton-Cotes rule.
 _W = np.array(
@@ -129,50 +128,6 @@ def indefinite_integral(grid, f):
     np.cumsum(partial[-1, :-1], axis=0, out=starts[1:])
     for k in range(1, BLOCK + 1):
         out[k::BLOCK] = starts + partial[k - 1]
-    return out
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(40)
-
-
-def indefinite_integral_weighted(grid, k, f):
-    """Cumulative weighted integral F(x_i) = int_0^x_i t^k f(t) dt.
-
-    Only the sampled factor f is interpolated (degree-5 per block, as in
-    the plain rule); the monomial weight t^k is carried exactly through a
-    Gauss rule of ample order, so the result is exact for polynomial f up
-    to degree 5 regardless of k.  This matters near the origin, where the
-    product t^k f(t) itself is far beyond the resolution of any
-    fixed-order rule in the first cells once k is moderately large.
-    """
-    f = np.asarray(f)
-    check_same_grid(grid, f)
-    if k == 0:
-        return indefinite_integral(grid, f)
-    if k < 0 or k != int(k):
-        raise ValueError("weight exponent must be a nonnegative integer")
-    h = grid.h
-    nblocks = grid.M // BLOCK
-    starts = grid.nodes[::BLOCK][:nblocks]
-    blocks = np.empty((nblocks, BLOCK + 1) + f.shape[1:], dtype=f.dtype)
-    for j in range(BLOCK + 1):
-        blocks[:, j] = f[j::BLOCK][:nblocks]
-    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
-    # f at the Gauss points of [0, r] in block coordinates, each r = 1..5
-    extra = (1,) * (f.ndim - 1)
-    prev = np.zeros((nblocks,) + f.shape[1:], dtype=out.dtype)
-    for r in range(1, BLOCK + 1):
-        u = 0.5 * r * (_GAUSS_NODES + 1.0)
-        basis = _LAGRANGE @ np.vander(u, BLOCK + 1, increasing=True).T  # (6, G)
-        fg = np.einsum("nj...,jg->ng...", blocks, basis)
-        w = (starts[:, None] + h * u[None, :]) ** k * _GAUSS_WEIGHTS[None, :]
-        part = 0.5 * r * h * np.sum(w.reshape(w.shape + extra) * fg, axis=1)
-        out[r::BLOCK][:nblocks] = part
-        if r == BLOCK:
-            block_totals = part
-    np.cumsum(block_totals[:-1], axis=0, out=prev[1:])
-    for r in range(1, BLOCK + 1):
-        out[r::BLOCK][:nblocks] += prev
     return out
 
 

@@ -3,7 +3,7 @@
 The series evaluator consumes two special-function families: spherical
 Bessel functions j_n(z) for complex z (the argument is lambda*x, so both
 tiny and large moduli occur in one sweep) and Legendre polynomials P_n(s)
-on [-1, 1], both as value sequences and as monomial coefficient tables.
+on [-1, 1] as value sequences.
 
 All spherical Bessel values come from one engine, `bessel_pair_batch`,
 which returns j_n(z) and j_n(z)/z together so that the 1/lambda factors
@@ -20,17 +20,11 @@ special casing by callers.  Each argument takes one of three routes:
   depend on the rest of the batch.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 __all__ = [
-    "LegendreMonomialTable",
     "bessel_pair_batch",
     "legendre_seq",
-    "legendre_monomial_coeffs",
-    "LEGENDRE_DEGREE_CAP",
 ]
 
 # Below this |z| the Maclaurin series replaces the recurrences.
@@ -48,8 +42,6 @@ _MILLER_PAD = 20
 # (4n + 3)^8 for |z| >= 0.5, far inside the 2^194 left above the limit.
 _RESCALE_LIMIT = 2.0**830
 _RESCALE_FACTOR = 2.0**-832
-
-LEGENDRE_DEGREE_CAP = 64
 
 
 def _series_pair(z, n_max):
@@ -213,41 +205,3 @@ def legendre_seq(s, n_max):
     for n in range(1, n_max):
         out[n + 1] = ((2 * n + 1) * s * out[n] - n * out[n - 1]) / (n + 1)
     return out
-
-
-@dataclass(frozen=True)
-class LegendreMonomialTable:
-    """Monomial coefficients l[n, k] with P_n(s) = sum_k l[n, k] s^k."""
-
-    n_max: int
-    coeffs: np.ndarray
-
-    def row(self, n):
-        return self.coeffs[n]
-
-
-def legendre_monomial_coeffs(n_max):
-    """Monomial coefficient table for P_0..P_{n_max}, n_max <= 64.
-
-    Rows are built with exact rational arithmetic through the Bonnet
-    recurrence and emitted as floats; the cap keeps the combinatorial
-    coefficient growth well inside double range.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > LEGENDRE_DEGREE_CAP:
-        raise ValueError("monomial table capped at degree %d" % LEGENDRE_DEGREE_CAP)
-    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for n in range(1, n_max):
-        prev, cur = rows[n - 1], rows[n]
-        nxt = [Fraction(0)] * (n + 2)
-        for k, c in enumerate(cur):
-            nxt[k + 1] += Fraction(2 * n + 1, n + 1) * c
-        for k, c in enumerate(prev):
-            nxt[k] -= Fraction(n, n + 1) * c
-        rows.append(nxt)
-    coeffs = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for k, c in enumerate(rows[n]):
-            coeffs[n, k] = float(c)
-    return LegendreMonomialTable(n_max=n_max, coeffs=coeffs)

@@ -6,17 +6,15 @@ The ZS-AKNS system V' = Q_zs V + i lambda s3 V with
 
 maps to a canonical Dirac problem with potential entries p = Im nu,
 q = -Re nu; the ZS fundamental matrix is the constant conjugation
-Z(lambda, x) = A^-1 U(lambda, x) A with A = [[i, -i], [1, 1]].  The series
-coefficients of Z are the conjugated kernel coefficients (even orders
-A^-1 C_n A, odd orders A^-1 C_n B A); they are materialized only for
-coefficient dumps, while evaluation reuses the Dirac evaluator directly.
+Z(lambda, x) = A^-1 U(lambda, x) A with A = [[i, -i], [1, 1]], so
+evaluation reuses the Dirac evaluator directly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import Potential, _b_right, fundamental_solution_zero, matrix_norm
+from .dirac import Potential, fundamental_solution_zero, matrix_norm
 from .grid import check_same_grid, differentiate
 from .kernel import build_coefficients
 from .solution import build_evaluator, evaluate_U
@@ -30,7 +28,6 @@ __all__ = [
     "zs_to_dirac",
     "build_zs_evaluator",
     "evaluate_Z",
-    "zs_series_coefficients",
     "zs_ode_residual",
 ]
 
@@ -107,18 +104,6 @@ def evaluate_Z(zev, lam, x):
     lam and x broadcast as in `evaluate_U`.
     """
     return A_INV @ evaluate_U(zev.inner, lam, x) @ A_MAT
-
-
-def zs_series_coefficients(zev):
-    """Conjugated series coefficients of Z, one (2, 2) block per order.
-
-    Order n holds A^-1 C_n A for even n and A^-1 C_n B A for odd n, so
-    that Z = A^-1 U0 A + sum_n (+-2) (conjugated C_n) j_n(lambda x) with
-    the same parity sign pattern as the canonical series.
-    """
-    K = zev.inner.coeffs.coeffs.astype(complex)
-    K[1::2] = _b_right(K[1::2])
-    return A_INV @ K @ A_MAT
 
 
 def zs_ode_residual(zev, lam):

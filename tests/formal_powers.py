@@ -23,27 +23,109 @@ the parity combinations are not taken on faith: they are calibrated
 against the potential-free case, where the transmutation operator is the
 identity and Phi_k = (x^k, 0) is forced.  The calibration found (and
 recorded in `sign_calibration`) flips the odd-order Phi combinations.
+
+The route lives with the tests, not in the package: the solver builds the
+coefficients by the recursion alone, and this module is the reference the
+test suite compares that recursion against.  It carries its own two
+helpers, the Legendre monomial table (exact rational Bonnet rows) and a
+cumulative quadrature that integrates a monomial weight t^k exactly.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .dirac import I2, fundamental_solution_zero
-from .grid import indefinite_integral, indefinite_integral_weighted
-from .kernel import sanitize_cells
-from .special import legendre_monomial_coeffs
+from diracnsbf.dirac import I2, fundamental_solution_zero
+from diracnsbf.grid import BLOCK, _lagrange_rows, check_same_grid, indefinite_integral
+from diracnsbf.kernel import sanitize_cells
 
-__all__ = [
-    "ParticularSolution",
-    "FormalPowerSet",
-    "build_particular_solution",
-    "build_formal_powers",
-    "phi_psi",
-    "kernel_coeffs_via_mapping",
-    "mapped_coefficients",
-    "sign_calibration",
-]
+LEGENDRE_DEGREE_CAP = 64
+
+
+@dataclass(frozen=True)
+class LegendreMonomialTable:
+    """Monomial coefficients l[n, k] with P_n(s) = sum_k l[n, k] s^k."""
+
+    n_max: int
+    coeffs: np.ndarray
+
+    def row(self, n):
+        return self.coeffs[n]
+
+
+def legendre_monomial_coeffs(n_max):
+    """Monomial coefficient table for P_0..P_{n_max}, n_max <= 64.
+
+    Rows are built with exact rational arithmetic through the Bonnet
+    recurrence and emitted as floats; the cap keeps the combinatorial
+    coefficient growth well inside double range.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if n_max > LEGENDRE_DEGREE_CAP:
+        raise ValueError("monomial table capped at degree %d" % LEGENDRE_DEGREE_CAP)
+    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for n in range(1, n_max):
+        prev, cur = rows[n - 1], rows[n]
+        nxt = [Fraction(0)] * (n + 2)
+        for k, c in enumerate(cur):
+            nxt[k + 1] += Fraction(2 * n + 1, n + 1) * c
+        for k, c in enumerate(prev):
+            nxt[k] -= Fraction(n, n + 1) * c
+        rows.append(nxt)
+    coeffs = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for k, c in enumerate(rows[n]):
+            coeffs[n, k] = float(c)
+    return LegendreMonomialTable(n_max=n_max, coeffs=coeffs)
+
+
+# _LAGRANGE[j, i]: coefficient of s^i in the block's basis polynomial j.
+_LAGRANGE = np.array([[float(c) for c in row] for row in _lagrange_rows()])
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(40)
+
+
+def indefinite_integral_weighted(grid, k, f):
+    """Cumulative weighted integral F(x_i) = int_0^x_i t^k f(t) dt.
+
+    Only the sampled factor f is interpolated (degree-5 per block, as in
+    the plain rule); the monomial weight t^k is carried exactly through a
+    Gauss rule of ample order, so the result is exact for polynomial f up
+    to degree 5 regardless of k.  This matters near the origin, where the
+    product t^k f(t) itself is far beyond the resolution of any
+    fixed-order rule in the first cells once k is moderately large.
+    """
+    f = np.asarray(f)
+    check_same_grid(grid, f)
+    if k == 0:
+        return indefinite_integral(grid, f)
+    if k < 0 or k != int(k):
+        raise ValueError("weight exponent must be a nonnegative integer")
+    h = grid.h
+    nblocks = grid.M // BLOCK
+    starts = grid.nodes[::BLOCK][:nblocks]
+    blocks = np.empty((nblocks, BLOCK + 1) + f.shape[1:], dtype=f.dtype)
+    for j in range(BLOCK + 1):
+        blocks[:, j] = f[j::BLOCK][:nblocks]
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    # f at the Gauss points of [0, r] in block coordinates, each r = 1..5
+    extra = (1,) * (f.ndim - 1)
+    prev = np.zeros((nblocks,) + f.shape[1:], dtype=out.dtype)
+    for r in range(1, BLOCK + 1):
+        u = 0.5 * r * (_GAUSS_NODES + 1.0)
+        basis = _LAGRANGE @ np.vander(u, BLOCK + 1, increasing=True).T  # (6, G)
+        fg = np.einsum("nj...,jg->ng...", blocks, basis)
+        w = (starts[:, None] + h * u[None, :]) ** k * _GAUSS_WEIGHTS[None, :]
+        part = 0.5 * r * h * np.sum(w.reshape(w.shape + extra) * fg, axis=1)
+        out[r::BLOCK][:nblocks] = part
+        if r == BLOCK:
+            block_totals = part
+    np.cumsum(block_totals[:-1], axis=0, out=prev[1:])
+    for r in range(1, BLOCK + 1):
+        out[r::BLOCK][:nblocks] += prev
+    return out
+
 
 # Sweep of initial-value combinations c = (1, e^{i pi m/8} t); the unit
 # candidate comes first so unproblematic potentials keep the simplest

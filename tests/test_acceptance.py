@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 
 from diracnsbf.dirac import Potential, free_solution, fundamental_solution_zero
-from diracnsbf.formal_powers import (
-    build_formal_powers,
-    build_particular_solution,
-    kernel_coeffs_via_mapping,
-)
 from diracnsbf.gauge import diagonal_to_canonical, rotate_boundary_blocks
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
 from diracnsbf.solution import build_evaluator, evaluate_U
-from diracnsbf.special import legendre_monomial_coeffs
 from diracnsbf.spectral import BoundaryCondition, scan_eigenvalues
 from diracnsbf.zs import ZsPotential, build_zs_evaluator, evaluate_Z, zs_ode_residual
 
+from formal_powers import (
+    build_formal_powers,
+    build_particular_solution,
+    kernel_coeffs_via_mapping,
+    legendre_monomial_coeffs,
+)
 from oracles import airy_spectrum, central_dlambda, const_q_solution, zs_const_solution
 
 M_STD = 2000

@@ -68,6 +68,32 @@ class TestConfig:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "source, cell, node",
+        [
+            ("p_expr = 1/x\nq_expr = 0", None, 0),
+            ("nu_expr = 1/x", None, 0),
+            ("p_expr = 1/x\nq_expr = 1\ngauge_phi = x", None, 0),
+            ("p_expr = -x\nq_expr = 1\ngauge_phi = 1/x", None, 0),
+            ("potential_file = %s", "nan", 7),
+            ("potential_file = %s", "abc", 7),
+        ],
+        ids=["p_expr", "nu_expr", "gauge-p_expr", "gauge_phi", "file-nan", "file-text"],
+    )
+    def test_non_finite_potential_names_the_node(self, tmp_path, capsys, source, cell, node):
+        nodes = np.linspace(0.0, 1.0, 101)  # the grid of M = 100
+        if cell is not None:
+            rows = ["%.17g,0,0,1,0" % x for x in nodes]
+            rows[node] = "%.17g,0,0,%s,0" % (nodes[node], cell)
+            pfile = tmp_path / "pot.csv"
+            pfile.write_text("x,p_re,p_im,q_re,q_im\n" + "\n".join(rows) + "\n")
+            source %= pfile
+        cfg = write_config(tmp_path, source + "\nM = 100\nN = 4\nout = %s\n" % (tmp_path / "n"))
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "node %d (x = %.17g)" % (node, nodes[node]) in err
+
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -118,17 +144,13 @@ class TestKernelCommand:
             rows_k0[:, 8], (np.exp(-x) - 1) / 2, atol=1e-10
         )
 
-    def test_mapping_oracle_flag(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "p_expr = 0\nq_expr = 1\nM = 500\nN = 6\nout = %s\n" % (tmp_path / "m"),
-        )
-        code, out, _ = run(["kernel", "--config", cfg, "--oracle", "mapping"], capsys)
-        assert code == 0
-        assert (tmp_path / "m_coeffs_mapping.csv").exists()
-        assert "sign_calibration,phi_odd=-1" in out
-        diff_line = [l for l in out.splitlines() if l.startswith("max_coeff_difference")]
-        assert diff_line and float(diff_line[0].split(",")[1]) < 1e-8
+    def test_oracle_option_is_gone(self, tmp_path, capsys):
+        # the formal-powers route is a test oracle, not a kernel option
+        cfg = write_config(tmp_path, "p_expr = 0\nq_expr = 1\nM = 50\nN = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--config", cfg, "--oracle", "mapping"])
+        assert exc.value.code == 2
+        assert "--oracle" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path, capsys):
         cfg = write_config(
@@ -405,16 +427,15 @@ class TestSpectrumCommand:
 
 
 class TestCsvOutput:
-    def test_kernel_files_with_mapping_oracle(self, tmp_path, capsys):
+    def test_kernel_file_written_as_17g(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             "p_expr = sin(3*x)\nq_expr = 1 + x\nM = 200\nN = 6\nout = %s\n"
             % (tmp_path / "k"),
         )
-        code, _, _ = run(["kernel", "--config", cfg, "--oracle", "mapping"], capsys)
+        code, _, _ = run(["kernel", "--config", cfg], capsys)
         assert code == 0
         assert_written_as_17g(tmp_path / "k_coeffs.csv", COEFF_HEADER)
-        assert_written_as_17g(tmp_path / "k_coeffs_mapping.csv", COEFF_HEADER)
 
     def test_solve_files_real_and_complex_lambdas(self, tmp_path, capsys):
         cfg = write_config(
@@ -527,7 +548,15 @@ class TestValidateCommand:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
-        assert any(c["name"] == "recursion_vs_mapping" for c in report["checks"])
+        assert [c["name"] for c in report["checks"]] == [
+            "quadrature_cosine",
+            "fundamental_det_one",
+            "fundamental_ode_residual",
+            "lambda0_closure",
+            "free_coefficients_vanish",
+            "free_solution_exact",
+            "derivative_vs_fd",
+        ]
 
 
 class TestZsIngestion:
@@ -589,6 +618,19 @@ class TestZsIngestion:
         code, _, err = run(["kernel", "--config", cfg], capsys)
         assert code == 2
         assert "do not match" in err
+
+    def test_dirac_csv_short_row(self, tmp_path, capsys):
+        lines = ["x,p_re,p_im,q_re,q_im"] + ["%.17g,0,0,1,0" % x for x in np.linspace(0, 1, 51)]
+        lines[8] = lines[8].rsplit(",", 2)[0]
+        pfile = tmp_path / "pot.csv"
+        pfile.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "potential_file = %s\nM = 50\nout = %s\n" % (pfile, tmp_path / "ps"),
+        )
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "bad potential file" in err
 
 
 def test_entry_point_smoke(tmp_path):

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from diracnsbf.dirac import Potential, apply_A, fundamental_solution_zero
-from diracnsbf.formal_powers import (
+from diracnsbf.grid import Grid
+from diracnsbf.kernel import build_coefficients
+
+from formal_powers import (
     build_formal_powers,
     build_particular_solution,
     kernel_coeffs_via_mapping,
+    legendre_monomial_coeffs,
     mapped_coefficients,
     phi_psi,
     sign_calibration,
 )
-from diracnsbf.grid import Grid
-from diracnsbf.kernel import build_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +184,6 @@ class TestKernelCoeffsViaMapping:
         # once ||C_n|| collapses below the monomial-assembly conditioning
         # floor (sum_k |l| O(1) terms cancelling to a tiny remainder), only
         # agreement at that floor is meaningful in double precision
-        from diracnsbf.special import legendre_monomial_coeffs
-
         g = Grid(1.0, 2000)
         Q = Potential.from_functions(
             g, lambda x: np.sin(np.pi * x), lambda x: np.cos(np.pi * x)

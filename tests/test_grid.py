@@ -7,9 +7,10 @@ from diracnsbf.grid import (
     cubic_interp,
     differentiate,
     indefinite_integral,
-    indefinite_integral_weighted,
     scale_by_nodes,
 )
+
+from formal_powers import indefinite_integral_weighted
 
 
 def mat_const(grid, m):

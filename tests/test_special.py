@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from diracnsbf.special import (
-    _UPWARD_IM_CAP,
-    LEGENDRE_DEGREE_CAP,
-    bessel_pair_batch,
-    legendre_monomial_coeffs,
-    legendre_seq,
-)
+from diracnsbf.special import _UPWARD_IM_CAP, bessel_pair_batch, legendre_seq
+
+from formal_powers import LEGENDRE_DEGREE_CAP, legendre_monomial_coeffs
 
 
 def legendre_eval(n, s):

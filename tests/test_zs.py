@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diracnsbf.dirac import _b_right
 from diracnsbf.grid import Grid
 from diracnsbf.solution import evaluate_U
 from diracnsbf.special import bessel_pair_batch
@@ -11,11 +12,22 @@ from diracnsbf.zs import (
     build_zs_evaluator,
     evaluate_Z,
     zs_ode_residual,
-    zs_series_coefficients,
     zs_to_dirac,
 )
 
 from oracles import zs_const_solution
+
+
+def zs_series_coefficients(zev):
+    """Conjugated series coefficients of Z, one (2, 2) block per order.
+
+    Order n holds A^-1 C_n A for even n and A^-1 C_n B A for odd n, so
+    that Z = A^-1 U0 A + sum_n (+-2) (conjugated C_n) j_n(lambda x) with
+    the same parity sign pattern as the canonical series.
+    """
+    K = zev.inner.coeffs.coeffs.astype(complex)
+    K[1::2] = _b_right(K[1::2])
+    return A_INV @ K @ A_MAT
 
 
 @pytest.fixture(scope="module")
