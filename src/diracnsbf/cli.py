@@ -660,7 +660,7 @@ def main(argv=None):
         if args.command == "spectrum":
             return cmd_spectrum(problem, args)
         return cmd_validate(problem, args)
-    except ConfigError as exc:
+    except (ConfigError, dirac.ResidualError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 

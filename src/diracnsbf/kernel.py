@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import I2, _b_left, _b_right, apply_S, matrix_norm
+from .dirac import I2, ResidualError, _b_left, _b_right, apply_S, matrix_norm
 from .grid import families_at, scale_by_nodes
 from .special import legendre_seq
 
@@ -171,8 +171,8 @@ def build_coefficients(Q, hom, N):
     integrand scale instead of being amplified by x^{-n} near the origin.
     Each order is written entry by entry, B C and C B as a sign and an
     index per term, bit for bit the stacked 2x2 form (_recursion_step).
-    Raises on NaN contamination, which indicates the grid cannot support
-    the requested order.
+    Raises ResidualError on NaN contamination, which indicates the grid
+    cannot support the requested order.
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
@@ -183,7 +183,8 @@ def _recurse(Q, hom, N, K=None):
     """Unguarded C_-1..C_N, continuing the unguarded orders K when given.
 
     Every order depends only on the two unguarded orders before it, so a
-    continued family equals a direct one bit for bit.
+    continued family equals a direct one bit for bit.  Raises ResidualError
+    on NaN contamination, which indicates the grid cannot support order N.
     """
     out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
     if K is None:
@@ -197,6 +198,11 @@ def _recurse(Q, hom, N, K=None):
     xpow = x ** (start - 1)
     for n in range(start, N + 1):
         xpow = _recursion_step(out, n, x, xpow, hom)
+    if not np.all(np.isfinite(out[start + 1 :])):
+        raise ResidualError(
+            "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
+            % (N, Q.grid.M)
+        )
     return out
 
 
@@ -235,11 +241,6 @@ def _recursion_step(K, n, x, xpow, hom):
 
 
 def _finalize(Q, hom, N, K):
-    if not np.all(np.isfinite(K)):
-        raise ArithmeticError(
-            "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
-            % (N, Q.grid.M)
-        )
     # orders 1..N: the guard, and the exact limit C_n(0) = 0 at x = 0
     guard, i0, w = _guard_weights(Q.grid)
     Kg = K.copy()
@@ -279,7 +280,7 @@ def goursat_residuals(coeffs):
     """delta_Q and delta_0 per node (x = 0 excluded) plus their sups.
 
     x^-1 multiplies, as in a complex quotient, so real and complex
-    coefficients give the same residuals (so does _residual_profile).
+    coefficients give the same residuals (so does auto_truncation).
     """
     grid = coeffs.grid
     inv_x = 1.0 / grid.nodes[1:, None, None]
@@ -300,26 +301,6 @@ def goursat_residuals(coeffs):
     )
 
 
-def _residual_profile(coeffs):
-    """Outer-region sup delta_Q and sup delta_0 for every order n <= N."""
-    grid = coeffs.grid
-    outer = grid.nodes >= 0.5 * grid.b
-    inv_x = 1.0 / grid.nodes[outer, None, None]
-    Qm = coeffs.potential.matrices[outer]
-    sup_Q = np.empty(coeffs.N + 1)
-    sup_0 = np.empty(coeffs.N + 1)
-    total = np.zeros_like(Qm)
-    alt = np.zeros_like(Qm)
-    for n in range(coeffs.N + 1):
-        Kn = coeffs.coeff(n)[outer]
-        total += Kn
-        alt += (-1.0) ** n * Kn
-        comm, anti = _boundary_terms(total, alt)
-        sup_Q[n] = np.max(matrix_norm(Qm + comm * inv_x))
-        sup_0[n] = np.max(matrix_norm(anti * inv_x))
-    return sup_Q, sup_0
-
-
 def _probe_schedule(n_max):
     probes = [2, 4, 8]
     grow = True
@@ -333,30 +314,41 @@ def auto_truncation(Q, hom, tol, N_max=128):
     """Smallest truncation order whose Goursat residuals meet tol.
 
     Convergence is judged on the outer-region sups (see GoursatResiduals).
-    Residuals are evaluated along a geometric probe schedule (they cost
-    O(N M) each); once a probe passes, the cheap per-order profile of the
-    already-built family locates the smallest sufficient order exactly.
-    Each probe continues the unguarded recursion of the previous one, so
-    the result equals build_coefficients at the chosen order bit for bit,
-    whatever the schedule.
+    Residuals are evaluated along a geometric probe schedule: each probe
+    continues the unguarded recursion and adds the sups of its new orders
+    to the running sums, so each order's residual is computed once (the
+    guard writes no outer node, so they are the finalized family's bit for
+    bit).  Once a probe passes, the per-order sups locate the smallest
+    sufficient order exactly; only that family is finalized, and it equals
+    build_coefficients at that order bit for bit, whatever the schedule.
     Returns (coefficients, report); report.converged is False when even
     N_max misses the tolerance.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    outer = Q.grid.nodes >= 0.5 * Q.grid.b
+    inv_x = 1.0 / Q.grid.nodes[outer, None, None]
+    Qm = Q.matrices[outer]
+    total, alt = np.zeros_like(Qm), np.zeros_like(Qm)
+    level = []  # max(sup delta_Q, sup delta_0) of orders 0, 1, ...
     K = None
     report_probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
-        coeffs = _finalize(Q, hom, Np, K)
-        sup_Q, sup_0 = _residual_profile(coeffs)
-        report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
-        level = np.maximum(sup_Q, sup_0)
+        for n in range(len(level), Np + 1):
+            Kn = K[n + 1, outer]
+            total += Kn
+            alt += (-1.0) ** n * Kn
+            comm, anti = _boundary_terms(total, alt)
+            sup_Q = np.max(matrix_norm(Qm + comm * inv_x))
+            sup_0 = np.max(matrix_norm(anti * inv_x))
+            level.append(max(sup_Q, sup_0))
+        report_probes.append((Np, float(sup_Q), float(sup_0)))
         if level[Np] <= tol:
-            n_best = int(np.argmax(level <= tol))
+            n_best = next(n for n, v in enumerate(level) if v <= tol)
             return _finalize(Q, hom, n_best, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
-    return coeffs, TruncationReport(
-        converged=False, N=coeffs.N, tol=tol, probes=report_probes
+    return _finalize(Q, hom, Np, K), TruncationReport(
+        converged=False, N=Np, tol=tol, probes=report_probes
     )

@@ -7,7 +7,8 @@ problem reduces to an exactly solvable Airy equation, and the
 transmutation kernel is integrated directly along characteristics of its
 defining hyperbolic system.  The stacked forms at the end are the
 exception: they are the coefficient build as it was written on stacked
-(n, 2, 2) arrays, which the entry-by-entry build must equal bit for bit.
+(n, 2, 2) arrays, and the automatic truncation as it was written per
+probe, which the library must equal bit for bit.
 """
 
 import mpmath as mp
@@ -268,3 +269,74 @@ def stacked_recurse(Q, hom, N, K=None):
         out[n + 1] = ((2 * n + 1) / (2 * n - 3)) * (prev2 + avg)
         out[n + 1][: sanitize_cells(n, Q.grid.M) + 1] = 0.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# The automatic truncation order as it was written per probe: every probe
+# finalizes its family and walks the residual profile of orders 0..N from
+# scratch, and the 2x2 norm takes its scale by two reductions.  The library
+# adds each order's residual once, on the unguarded family, with an
+# elementwise scale; both must give these results bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reduction_matrix_norm(a):
+    """dirac.matrix_norm with its scale taken by max reductions over each
+    matrix's real and imaginary parts (no lift of subnormal scales)."""
+    a = np.asarray(a)
+    scale = np.maximum(
+        np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1))
+    )
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("matrix entries must be finite")
+    u = a * (1.0 / np.where(scale > 0, scale, 1.0))[..., None, None]
+    w = u.real**2 + u.imag**2
+    c0 = w[..., 0, 0] + w[..., 1, 0]
+    c1 = w[..., 0, 1] + w[..., 1, 1]
+    b = np.conj(u[..., 0, 0]) * u[..., 0, 1] + np.conj(u[..., 1, 0]) * u[..., 1, 1]
+    return scale * np.sqrt(0.5 * (c0 + c1) + np.hypot(0.5 * (c0 - c1), np.abs(b)))
+
+
+def per_probe_residual_profile(coeffs):
+    """Outer-region sup delta_Q and sup delta_0 for every order n <= N."""
+    from diracnsbf.kernel import _boundary_terms
+
+    grid = coeffs.grid
+    outer = grid.nodes >= 0.5 * grid.b
+    inv_x = 1.0 / grid.nodes[outer, None, None]
+    Qm = coeffs.potential.matrices[outer]
+    sup_Q = np.empty(coeffs.N + 1)
+    sup_0 = np.empty(coeffs.N + 1)
+    total = np.zeros_like(Qm)
+    alt = np.zeros_like(Qm)
+    for n in range(coeffs.N + 1):
+        Kn = coeffs.coeff(n)[outer]
+        total += Kn
+        alt += (-1.0) ** n * Kn
+        comm, anti = _boundary_terms(total, alt)
+        sup_Q[n] = np.max(reduction_matrix_norm(Qm + comm * inv_x))
+        sup_0[n] = np.max(reduction_matrix_norm(anti * inv_x))
+    return sup_Q, sup_0
+
+
+def per_probe_auto_truncation(Q, hom, tol, N_max=128):
+    """(coefficients, report) of kernel.auto_truncation, each probe
+    finalized and profiled from order 0."""
+    from diracnsbf.kernel import TruncationReport, _finalize, _probe_schedule, _recurse
+
+    K = None
+    report_probes = []
+    for Np in _probe_schedule(N_max):
+        K = _recurse(Q, hom, Np, K)
+        coeffs = _finalize(Q, hom, Np, K)
+        sup_Q, sup_0 = per_probe_residual_profile(coeffs)
+        report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
+        level = np.maximum(sup_Q, sup_0)
+        if level[Np] <= tol:
+            n_best = int(np.argmax(level <= tol))
+            return _finalize(Q, hom, n_best, K[: n_best + 2]), TruncationReport(
+                converged=True, N=n_best, tol=tol, probes=report_probes
+            )
+    return coeffs, TruncationReport(
+        converged=False, N=coeffs.N, tol=tol, probes=report_probes
+    )

@@ -94,6 +94,39 @@ class TestConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "node %d (x = %.17g)" % (node, nodes[node]) in err
 
+    def test_rough_potential_file_is_a_config_error(self, tmp_path, capsys):
+        # q at 7 digits is too rough for the propagator's ODE-residual check
+        nodes = np.linspace(0.0, 1.0, 1001)  # the grid of M = 1000
+        rows = ["%.17g,%.17g,0,%.6e,0" % (x, np.sin(3 * x), np.exp(-x)) for x in nodes]
+        pfile = tmp_path / "pot.csv"
+        pfile.write_text("x,p_re,p_im,q_re,q_im\n" + "\n".join(rows) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "potential_file = %s\nM = 1000\nN = 10\nout = %s\n" % (pfile, tmp_path / "r"),
+        )
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: ODE residual") and "refine the grid" in err
+
+    @pytest.mark.parametrize("N", ["6", "auto"])
+    def test_non_finite_coefficients_are_a_config_error(self, tmp_path, capsys, monkeypatch, N):
+        def poisoned(H, hom):
+            S = cli.dirac.apply_S(H, hom).copy()
+            S[len(S) // 2, 0, 1] = np.nan
+            return S
+
+        monkeypatch.setattr(cli.kernel, "apply_S", poisoned)
+        cfg = write_config(
+            tmp_path,
+            "p_expr = sin(pi*x)\nq_expr = 1\nM = 200\nN = %s\nout = %s\n"
+            % (N, tmp_path / "f"),
+        )
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "non-finite kernel coefficients at N=%d, M=200" % (6 if N == "6" else 2) in err
+
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

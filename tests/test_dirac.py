@@ -408,6 +408,24 @@ class TestMatrixNorm:
         assert np.all(np.abs(a.real) < tiny) and np.all(np.abs(a.imag) < tiny)
         self.assert_matches_svd(a)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tiny_entries_down_to_the_smallest_subnormal(self, dtype):
+        # below 1/DBL_MAX (5.56e-309) the scale has no finite reciprocal;
+        # subnormal results round to multiples of 2^-1074
+        rng = self.rng
+        mod = 10.0 ** rng.uniform(-323.3, -307.0, (5000, 2, 2))
+        mod[:3] = 0.0
+        mod[0, 0, 0], mod[1, 1, 0], mod[2, 0, 1] = 3e-309, 1e-310, 5e-324
+        a = mod.astype(dtype)
+        if dtype is complex:
+            phase = np.exp(2j * np.pi * rng.random(mod.shape))
+            phase[:3] = 1.0
+            a = mod * phase
+        ref = svd_norm(a)
+        got = matrix_norm(a)
+        np.testing.assert_array_equal(got[:3], [3e-309, 1e-310, 5e-324])
+        assert np.all(np.abs(got - ref) <= self.RTOL * ref + 4 * 2.0**-1074)
+
     def test_leading_shape(self):
         self.assert_matches_svd(self.complex_batch(7, 11))
 

@@ -1,5 +1,7 @@
 """The coefficient build, written entry by entry on contiguous vectors,
-against its stacked (n, 2, 2) form (tests/oracles.py), bit for bit.
+against its stacked (n, 2, 2) form (tests/oracles.py), bit for bit; so are
+the automatic truncation, which adds each order's residual once, against
+its per-probe form, and the 2x2 norm against its reduction-scale form.
 
 Every quantity is compared as the uint64 bit patterns of its floats, so a
 zero of the other sign counts as a difference too.
@@ -25,6 +27,8 @@ POTENTIALS = {
     "trig": (lambda x: np.sin(np.pi * x), lambda x: np.cos(np.pi * x)),
     "complex-sin": (lambda x: np.sin(3 * x) + 0.5j * x, lambda x: 1 + x),
     "complex-exp": (lambda x: np.exp(1j * x), lambda x: 0.5 + 0 * x),
+    # the solve-sweep problem
+    "constant": (lambda x: 0.3 + 0 * x, lambda x: 1.0 + 0 * x),
     # every entry is a zero, so only the signs of the zeros can differ
     "zero": (lambda x: 0 * x, lambda x: 0 * x),
 }
@@ -102,3 +106,58 @@ def test_auto_truncation(problem, monkeypatch, tol):
     assert (report.converged, report.N) == (report_ref.converged, report_ref.N)
     assert_same_bits(np.array(report.probes), np.array(report_ref.probes))
     assert_same_bits(fam.K, fam_ref.K)
+
+
+@pytest.mark.parametrize("tol, N_max", [(1e-8, 128), (1e-12, 128), (1e-14, 24), (1e-30, 12)])
+def test_auto_truncation_matches_per_probe_form(problem, tol, N_max):
+    Q, hom = problem
+    fam, report = auto_truncation(Q, hom, tol, N_max)
+    fam_ref, report_ref = oracles.per_probe_auto_truncation(Q, hom, tol, N_max)
+    if tol == 1e-30:  # only the zero potential meets it
+        assert report.converged == (not np.any(Q.matrices))
+    assert (report.converged, report.N, fam.N) == (
+        report_ref.converged,
+        report_ref.N,
+        fam_ref.N,
+    )
+    assert_same_bits(np.array(report.probes), np.array(report_ref.probes))
+    assert_same_bits(fam.K, fam_ref.K)
+
+
+def norm_batches():
+    rng = np.random.default_rng(15)
+    real = rng.standard_normal((3001, 2, 2))
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    signed = np.where(rng.random(real.shape) < 0.3, -0.0, real)
+    return {
+        "real": real,
+        "complex": cplx,
+        "zero": np.zeros((5, 2, 2)),
+        "complex-zero": np.zeros((5, 2, 2), dtype=complex),
+        "-0": np.full((5, 2, 2), -0.0),
+        "complex-0": np.full((5, 2, 2), complex(-0.0, -0.0)),
+        "signed-zeros": signed,
+        "complex-signed-zeros": signed + 1j * signed[::-1],
+        "1e300": 1e300 * cplx,
+        "1e-300": 1e-300 * cplx,
+        "real-1e300": 1e300 * real,
+        "real-1e-300": 1e-300 * real,
+        "leading-shape": cplx[:77].reshape(7, 11, 2, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(norm_batches()))
+def test_matrix_norm_matches_reduction_form(name):
+    a = norm_batches()[name]
+    assert_same_bits(dirac.matrix_norm(a), oracles.reduction_matrix_norm(a))
+
+
+def test_matrix_norm_lift_leaves_other_matrices_alone():
+    # one matrix below 1/DBL_MAX sends the batch through the lift; every
+    # other matrix keeps the bits of the reduction form
+    a = norm_batches()["complex"].copy()
+    a[17] = [[3e-309, 0.0], [0.0, 5e-324]]
+    got = dirac.matrix_norm(a)
+    assert got[17] == 3e-309
+    keep = np.arange(len(a)) != 17
+    assert_same_bits(got[keep], oracles.reduction_matrix_norm(a[keep]))
