@@ -41,10 +41,9 @@ from .solution import (
 from .special import bessel_pair_batch
 from .spectral import (
     BoundaryCondition,
-    EigenvalueRecord,
     ScanOptions,
+    ScanResult,
     char_function,
-    refine_root,
     scan_eigenvalues,
 )
 from .zs import (
@@ -52,7 +51,6 @@ from .zs import (
     ZsPotential,
     build_zs_evaluator,
     evaluate_Z,
-    zs_ode_residual,
     zs_to_dirac,
 )
 

@@ -48,7 +48,13 @@ import numpy as np
 
 from . import __version__, dirac, kernel
 from .csvfmt import format_tables
-from .dirac import HomogeneousSolution, Potential, fundamental_solution_zero
+from .dirac import (
+    HomogeneousSolution,
+    Potential,
+    free_solution,
+    fundamental_solution_zero,
+    homogeneous_residual,
+)
 from .exprparse import ParseError, evaluate, evaluate_on_grid, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks
 from .grid import Grid, indefinite_integral
@@ -95,10 +101,6 @@ def _source_digest():
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(v):
-    return "%.17g" % v
 
 
 def load_config(path):
@@ -430,9 +432,9 @@ def cmd_kernel(problem, args):
     print("coefficients written to %s" % path)
     if reports and reports[0].probes:
         for N, sup_q, sup_0 in reports[0].probes:
-            print("%d,%s,%s" % (N, _fmt(sup_q), _fmt(sup_0)))
+            print("%d,%.17g,%.17g" % (N, sup_q, sup_0))
     res = goursat_residuals(coeffs)
-    print("%d,%s,%s" % (coeffs.N, _fmt(res.sup_Q_outer), _fmt(res.sup_0_outer)))
+    print("%d,%.17g,%.17g" % (coeffs.N, res.sup_Q_outer, res.sup_0_outer))
     return 0
 
 
@@ -491,19 +493,20 @@ def cmd_spectrum(problem, args):
     ev = build_evaluator(coeffs)
     opts = ScanOptions(step=step)
     t0 = time.perf_counter()
-    records = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
+    eigs = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
     dt = time.perf_counter() - t0
-    table = np.array(
-        [(r.index, r.lam, r.residual, r.iterations) for r in records], dtype=float
-    ).reshape(-1, 4)
+    table = np.column_stack((eigs.index, eigs.lam, eigs.residual, eigs.iterations))
     path = problem.out + "_eigs.csv"
     _write_csv(path, "index,lambda,residual,iterations", [table])
-    max_resid = max((r.residual for r in records), default=0.0)
-    unconverged = sum(not r.converged for r in records)
     print("eigenvalues written to %s" % path)
     print(
-        "count=%d,max_residual=%s,unconverged=%d,wall_time=%.3fs"
-        % (len(records), _fmt(max_resid), unconverged, dt)
+        "count=%d,max_residual=%.17g,unconverged=%d,wall_time=%.3fs"
+        % (
+            eigs.lam.size,
+            eigs.residual.max(initial=0.0),
+            np.count_nonzero(~eigs.converged),
+            dt,
+        )
     )
     return 0
 
@@ -534,8 +537,6 @@ def _run_checks(problem):
     try:
         hom = fundamental_solution_zero(Q)
         record("fundamental_det_one", hom.det_defect, 1e-10)
-        from .dirac import homogeneous_residual
-
         record(
             "fundamental_ode_residual",
             homogeneous_residual(hom, Q),
@@ -565,8 +566,6 @@ def _run_checks(problem):
     coeffs0 = build_coefficients(Q0, hom0, N)
     ev0 = build_evaluator(coeffs0)
     record("free_coefficients_vanish", np.max(np.abs(coeffs0.K)), 1e-13)
-    from .dirac import free_solution
-
     record(
         "free_solution_exact",
         np.max(np.abs(evaluate_U(ev0, 3.3, grid.b) - free_solution(3.3, grid.b))),

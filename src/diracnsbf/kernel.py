@@ -231,12 +231,14 @@ def _recursion_step(K, n, x, xpow, hom):
     H *= xpow
     S = apply_S(H.transpose(2, 0, 1), hom).transpose(1, 2, 0)
     # x^-n times S, as a complex quotient rounds it (a reciprocal, then a
-    # product), so that a real build equals the real part of a complex one
+    # product), so that a real build equals the real part of a complex one;
+    # only past the cells pinned to zero below, where x^n is never subnormal
     xn = x**n
-    S *= np.divide(1.0, xn, out=np.zeros_like(xn), where=xn > 0.0)
+    cut = sanitize_cells(n, len(x) - 1) + 1
+    S[..., cut:] *= 1.0 / xn[cut:]
     S += a
     np.multiply((2 * n + 1) / (2 * n - 3), S, out=K[n + 1].transpose(1, 2, 0))
-    K[n + 1][: sanitize_cells(n, len(x) - 1) + 1] = 0.0
+    K[n + 1][:cut] = 0.0
     return xn
 
 
@@ -267,28 +269,39 @@ def kernel_eval(coeffs, x, t):
     return np.einsum("n,nij->ij", P, Kx) / x
 
 
-def _boundary_terms(total, alt):
-    """B S - S B for the plain sum S and B T + T B for the alternating sum T.
+def _goursat_deltas(Qm, inv_x, orders, n0, total, alt):
+    """delta_Q and delta_0 per node once C_n0, C_n0+1, ... (the rows of
+    orders) are added to the plain sum total and the alternating sum alt.
 
-    Both identities are linear in C_n, so B acts once on the summed
-    coefficients instead of once per order.
+    The sums are updated in place, order by order, here alone, so a sum
+    over orders 0..N has the same bits wherever it is formed.  Both
+    identities are linear in C_n, so B acts once on the sums instead of
+    once per order; x^-1 multiplies, as in a complex quotient, so real and
+    complex coefficients give the same residuals.
     """
-    return _b_left(total) - _b_right(total), _b_left(alt) + _b_right(alt)
+    for n, Kn in enumerate(orders, n0):
+        total += Kn
+        if n % 2:
+            alt -= Kn
+        else:
+            alt += Kn
+    comm = _b_left(total) - _b_right(total)
+    anti = _b_left(alt) + _b_right(alt)
+    return matrix_norm(Qm + comm * inv_x), matrix_norm(anti * inv_x)
 
 
 def goursat_residuals(coeffs):
     """delta_Q and delta_0 per node (x = 0 excluded) plus their sups.
 
-    x^-1 multiplies, as in a complex quotient, so real and complex
-    coefficients give the same residuals (so does auto_truncation).
+    The sums over orders are formed order by order, as auto_truncation
+    forms them, so the outer sups at a probed order equal its probe tuple
+    bit for bit.
     """
     grid = coeffs.grid
-    inv_x = 1.0 / grid.nodes[1:, None, None]
     Kn = coeffs.coeffs[:, 1:]
-    alt = Kn[::2].sum(axis=0) - Kn[1::2].sum(axis=0)
-    comm, anti = _boundary_terms(Kn.sum(axis=0), alt)
-    dQ = matrix_norm(coeffs.potential.matrices[1:] + comm * inv_x)
-    d0 = matrix_norm(anti * inv_x)
+    total, alt = np.zeros_like(Kn[0]), np.zeros_like(Kn[0])
+    inv_x = 1.0 / grid.nodes[1:, None, None]
+    dQ, d0 = _goursat_deltas(coeffs.potential.matrices[1:], inv_x, Kn, 0, total, alt)
     outer = grid.nodes[1:] >= 0.5 * grid.b
     return GoursatResiduals(
         x=grid.nodes[1:],
@@ -315,10 +328,11 @@ def auto_truncation(Q, hom, tol, N_max=128):
 
     Convergence is judged on the outer-region sups (see GoursatResiduals).
     Residuals are evaluated along a geometric probe schedule: each probe
-    continues the unguarded recursion and adds the sups of its new orders
-    to the running sums, so each order's residual is computed once (the
-    guard writes no outer node, so they are the finalized family's bit for
-    bit).  Once a probe passes, the per-order sups locate the smallest
+    continues the unguarded recursion and adds its new orders, one by one,
+    to the running Goursat sums of goursat_residuals, taking each order's
+    sups once.  The guard writes no outer node, so a probe's tuple equals
+    the outer sups goursat_residuals gives at that order bit for bit.
+    Once a probe passes, the per-order sups locate the smallest
     sufficient order exactly; only that family is finalized, and it equals
     build_coefficients at that order bit for bit, whatever the schedule.
     Returns (coefficients, report); report.converged is False when even
@@ -336,12 +350,8 @@ def auto_truncation(Q, hom, tol, N_max=128):
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
         for n in range(len(level), Np + 1):
-            Kn = K[n + 1, outer]
-            total += Kn
-            alt += (-1.0) ** n * Kn
-            comm, anti = _boundary_terms(total, alt)
-            sup_Q = np.max(matrix_norm(Qm + comm * inv_x))
-            sup_0 = np.max(matrix_norm(anti * inv_x))
+            dQ, d0 = _goursat_deltas(Qm, inv_x, K[n + 1 : n + 2, outer], n, total, alt)
+            sup_Q, sup_0 = np.max(dQ), np.max(d0)
             level.append(max(sup_Q, sup_0))
         report_probes.append((Np, float(sup_Q), float(sup_0)))
         if level[Np] <= tol:

@@ -25,10 +25,9 @@ from .solution import evaluate_U
 
 __all__ = [
     "BoundaryCondition",
-    "EigenvalueRecord",
     "ScanOptions",
+    "ScanResult",
     "char_function",
-    "refine_root",
     "scan_eigenvalues",
 ]
 
@@ -71,18 +70,25 @@ class BoundaryCondition:
 
 
 @dataclass(frozen=True)
-class EigenvalueRecord:
-    index: int
-    lam: float
-    residual: float
-    iterations: int
-    converged: bool = True
-
-
-@dataclass(frozen=True)
 class ScanOptions:
     step: float = None  # default pi / (10 b)
     max_iter: int = 80
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """The eigenvalues of a window in increasing order, one array per column.
+
+    index is 0 at the smallest nonnegative eigenvalue and decreases
+    leftward; residual is |Delta| at lam, iterations the refinement rounds
+    the root took, and converged False for a root kept unconverged.
+    """
+
+    lam: np.ndarray
+    index: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 # Default refinement tolerance of a local-minimum polish, relative to the
@@ -142,9 +148,18 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
     straddle a sign change or, where fa_k is NaN, a bare start a_k that
     must stay within trust_k of itself (b_k and fb_k are then unused).
     tol_k NaN selects the default tolerance.  Every round evaluates Delta
-    and its slope at all rows still iterating with one Bessel pass; the
-    safeguards of refine_root, resolution rule included, act on each row
-    separately.  Returns one EigenvalueRecord (index 0) per row.
+    and its slope at all rows still iterating with one Bessel pass, while
+    the safeguards act on each row separately: a bracketed row stays inside
+    its bracket, with bisection as the fallback step, except that a step
+    within the lambda resolution 4 eps (1 + |lambda|) is taken as proposed,
+    even onto or past an end, and ends the row; a bare start gives up,
+    unconverged, once its iterates leave its trust radius, rather than
+    report a far-away root.  An endpoint or start already satisfying
+    |Delta| <= tol counts as converged with zero iterations.  A
+    lambda-dependent block gives no slope: a bracket is then refined by
+    false-position steps alone, and a bare start is returned unconverged.
+    Returns the arrays (lam, residual, iterations, converged), one entry
+    per row.
     """
     a, b, fa, fb, tol, trust = (
         np.array(v, dtype=float) for v in (a, b, fa, fb, tol, trust)
@@ -228,40 +243,7 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
         collapse = active & (moved <= resolution)
         finish(collapse, lam, res, it, res <= 1e4 * tol)
     finish(active, best_lam, best_res, max_iter, False)
-    return [
-        EigenvalueRecord(0, float(lam_k), float(res_k), int(it_k), bool(ok_k))
-        for lam_k, res_k, it_k, ok_k in zip(out_lam, out_res, out_it, out_ok)
-    ]
-
-
-def refine_root(ev, bc, bracket, tol=None, max_iter=80, trust_radius=None):
-    """Polish one root of Re Delta with safeguarded Newton.
-
-    bracket is (a, b) straddling a sign change (iterates are confined to
-    it, with bisection as the fallback step, except that a step within the
-    lambda resolution 4 eps (1 + |lambda|) is taken as proposed, even onto
-    or past an end, and ends the iteration), or a bare starting point
-    when no sign change is available; the unbracketed mode gives up with
-    converged=False once the iterates leave the trust radius (default
-    pi/b, one asymptotic eigenvalue gap) rather than report a far-away
-    root.  An endpoint or start already satisfying |Delta| <= tol counts
-    as converged with zero iterations.  A lambda-dependent block gives no
-    slope: a bracket is then refined by false-position steps alone, and a
-    bare start is returned unconverged.  This is the one-row case of the
-    lockstep refinement the scan runs.
-    """
-    if np.ndim(bracket) != 0:
-        ends = np.array([float(np.real(t)) for t in bracket])
-        fa, fb = char_function(ev, bc, ends)[0].real
-        row = (ends[0], ends[1], fa, fb)
-    else:
-        start = float(np.real(bracket))
-        row = (start, start, np.nan, np.nan)
-    trust = np.pi / ev.b if trust_radius is None else trust_radius
-    tol = np.nan if tol is None else tol
-    return _refine_lockstep(
-        ev, bc, *([v] for v in row), [tol], [trust], max_iter
-    )[0]
+    return out_lam, out_res, out_it, out_ok
 
 
 def _scan_window(ev, bc, lam_min, lam_max, opts):
@@ -304,7 +286,7 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
         & (sgn[1:-1] == sgn[2:])
     )
     nb, m, nan = len(bra), len(mins), np.nan
-    records = _refine_lockstep(
+    lam, res, it, ok = _refine_lockstep(
         ev,
         bc,
         a=np.r_[grid[bra], grid[mins]],
@@ -315,54 +297,46 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
         trust=np.r_[np.full(nb, np.pi / ev.b), np.full(m, 3.0 * opts.step)],
         max_iter=opts.max_iter,
     )
-    roots = records[:nb]
-    failed = [r.lam for r in roots if not r.converged]
-    if failed:
+    failed = lam[:nb][~ok[:nb]]
+    if failed.size:
         warnings.warn(
             "%d bracketed root(s) did not converge within %d iterations, kept "
             "unconverged at lambda = %s"
-            % (len(failed), opts.max_iter, ", ".join("%.15g" % lam for lam in failed)),
+            % (failed.size, opts.max_iter, ", ".join("%.15g" % v for v in failed)),
             RuntimeWarning,
             stacklevel=3,
         )
-    roots += [
-        r for r in records[nb:] if r.converged and lam_min <= r.lam <= lam_max
-    ]
-    return roots
+    polished = ok[nb:] & (lam_min <= lam[nb:]) & (lam[nb:] <= lam_max)
+    keep = np.r_[np.ones(nb, dtype=bool), polished]
+    return lam[keep], res[keep], it[keep], ok[keep]
 
 
 def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
     """All real eigenvalues in [lam_min, lam_max], refined and indexed.
 
-    Returns EigenvalueRecord items sorted by eigenvalue; the smallest
-    nonnegative eigenvalue carries index 0 and indices decrease leftward
-    (when every eigenvalue is negative the rightmost one gets index -1).
+    Returns a ScanResult sorted by eigenvalue (a stable sort of the roots
+    found); of roots closer than a quarter of the scan step the one with
+    the smaller residual stays.  The smallest nonnegative eigenvalue
+    carries index 0 and indices decrease leftward (when every eigenvalue
+    is negative the rightmost one gets index -1).  An empty window warns
+    and returns empty arrays.
     """
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
     opts = options or ScanOptions()
     if opts.step is None:
         opts = replace(opts, step=np.pi / (10.0 * ev.b))
-    found = _scan_window(ev, bc, lam_min, lam_max, opts)
-    found.sort(key=lambda r: r.lam)
-    merged = []
-    for rec in found:
-        if merged and abs(rec.lam - merged[-1].lam) < _DEDUPE_FRACTION * opts.step:
-            if rec.residual < merged[-1].residual:
-                merged[-1] = rec
+    lam, res, it, ok = _scan_window(ev, bc, lam_min, lam_max, opts)
+    kept = []
+    for i in np.argsort(lam, kind="stable"):
+        if kept and abs(lam[i] - lam[kept[-1]]) < _DEDUPE_FRACTION * opts.step:
+            if res[i] < res[kept[-1]]:
+                kept[-1] = i
             continue
-        merged.append(rec)
-    if not merged:
+        kept.append(i)
+    if not kept:
         warnings.warn("no eigenvalues found in the window", stacklevel=2)
-        return []
-    anchor = next((i for i, r in enumerate(merged) if r.lam >= 0.0), len(merged))
-    return [
-        EigenvalueRecord(
-            index=i - anchor,
-            lam=r.lam,
-            residual=r.residual,
-            iterations=r.iterations,
-            converged=r.converged,
-        )
-        for i, r in enumerate(merged)
-    ]
+    kept = np.array(kept, dtype=int)
+    lam = lam[kept]
+    index = np.arange(kept.size) - np.searchsorted(lam, 0.0)
+    return ScanResult(lam, index, res[kept], it[kept], ok[kept])

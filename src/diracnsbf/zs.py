@@ -14,26 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import Potential, fundamental_solution_zero, matrix_norm
-from .grid import check_same_grid, differentiate
+from .dirac import Potential, fundamental_solution_zero
+from .grid import check_same_grid
 from .kernel import build_coefficients
 from .solution import build_evaluator, evaluate_U
 
 __all__ = [
     "A_MAT",
     "A_INV",
-    "SIGMA3",
     "ZsPotential",
     "ZsEvaluator",
     "zs_to_dirac",
     "build_zs_evaluator",
     "evaluate_Z",
-    "zs_ode_residual",
 ]
 
 A_MAT = np.array([[1j, -1j], [1.0, 1.0]], dtype=complex)
 A_INV = np.array([[-0.5j, 0.5], [0.5j, 0.5]], dtype=complex)
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -50,21 +47,6 @@ class ZsPotential:
         if not np.all(np.isfinite(nu)):
             raise ValueError("nu samples must be finite")
         object.__setattr__(self, "nu", nu)
-
-    @classmethod
-    def from_function(cls, grid, nu_fn):
-        nu = np.broadcast_to(
-            np.asarray(nu_fn(grid.nodes), dtype=complex), (grid.size,)
-        ).copy()
-        return cls(grid, nu, nu_fn=nu_fn)
-
-    @property
-    def matrices(self):
-        """Q_zs(x_i) = [[0, nu], [conj(nu), 0]]."""
-        out = np.zeros((self.grid.size, 2, 2), dtype=complex)
-        out[:, 0, 1] = self.nu
-        out[:, 1, 0] = np.conj(self.nu)
-        return out
 
 
 def zs_to_dirac(zs):
@@ -104,12 +86,3 @@ def evaluate_Z(zev, lam, x):
     lam and x broadcast as in `evaluate_U`.
     """
     return A_INV @ evaluate_U(zev.inner, lam, x) @ A_MAT
-
-
-def zs_ode_residual(zev, lam):
-    """Max interior-node norm of Z' - Q_zs Z - i lambda s3 Z."""
-    grid = zev.grid
-    Z = evaluate_Z(zev, lam, grid.nodes)
-    dZ = differentiate(grid, Z)
-    R = dZ - zev.zs.matrices @ Z - 1j * lam * (SIGMA3 @ Z)
-    return float(np.max(matrix_norm(R[1:-1])))

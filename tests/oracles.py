@@ -56,6 +56,34 @@ def central_dlambda(fn, lam, h=1e-5):
     return (fn(lam + h) - fn(lam - h)) / (2.0 * h)
 
 
+SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def zs_potential(grid, nu_fn):
+    """The ZS potential of nu_fn sampled on the nodes, nu_fn kept."""
+    from diracnsbf.zs import ZsPotential
+
+    nu = np.broadcast_to(np.asarray(nu_fn(grid.nodes), dtype=complex), (grid.size,))
+    return ZsPotential(grid, nu.copy(), nu_fn=nu_fn)
+
+
+def zs_ode_residual(zev, lam):
+    """Max interior-node norm of Z' - Q_zs Z - i lambda s3 Z, with Z' the
+    grid's 6-point finite difference of the series Z."""
+    from diracnsbf.dirac import matrix_norm
+    from diracnsbf.grid import differentiate
+    from diracnsbf.zs import evaluate_Z
+
+    grid = zev.grid
+    Q_zs = np.zeros((grid.size, 2, 2), dtype=complex)
+    Q_zs[:, 0, 1] = zev.zs.nu
+    Q_zs[:, 1, 0] = np.conj(zev.zs.nu)
+    Z = evaluate_Z(zev, lam, grid.nodes)
+    dZ = differentiate(grid, Z)
+    R = dZ - Q_zs @ Z - 1j * lam * (SIGMA3 @ Z)
+    return float(np.max(matrix_norm(R[1:-1])))
+
+
 # ---------------------------------------------------------------------------
 # Benchmark spectral problem: B Z' + diag(-x, 1) Z = lam Z on [0, 1] with
 # z1(0) = z1(1) = 0.  Eliminating z2 gives z1'' = (1 - lam)(lam + x) z1,
@@ -297,10 +325,15 @@ def reduction_matrix_norm(a):
     return scale * np.sqrt(0.5 * (c0 + c1) + np.hypot(0.5 * (c0 - c1), np.abs(b)))
 
 
+def _boundary_terms(total, alt):
+    """B S - S B for the plain sum S and B T + T B for the alternating sum T."""
+    from diracnsbf.dirac import _b_left, _b_right
+
+    return _b_left(total) - _b_right(total), _b_left(alt) + _b_right(alt)
+
+
 def per_probe_residual_profile(coeffs):
     """Outer-region sup delta_Q and sup delta_0 for every order n <= N."""
-    from diracnsbf.kernel import _boundary_terms
-
     grid = coeffs.grid
     outer = grid.nodes >= 0.5 * grid.b
     inv_x = 1.0 / grid.nodes[outer, None, None]

@@ -16,7 +16,7 @@ from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
 from diracnsbf.solution import build_evaluator, evaluate_U
 from diracnsbf.spectral import BoundaryCondition, scan_eigenvalues
-from diracnsbf.zs import ZsPotential, build_zs_evaluator, evaluate_Z, zs_ode_residual
+from diracnsbf.zs import ZsPotential, build_zs_evaluator, evaluate_Z
 
 from formal_powers import (
     build_formal_powers,
@@ -24,7 +24,14 @@ from formal_powers import (
     kernel_coeffs_via_mapping,
     legendre_monomial_coeffs,
 )
-from oracles import airy_spectrum, central_dlambda, const_q_solution, zs_const_solution
+from oracles import (
+    airy_spectrum,
+    central_dlambda,
+    const_q_solution,
+    zs_const_solution,
+    zs_ode_residual,
+    zs_potential,
+)
 
 M_STD = 2000
 
@@ -63,22 +70,21 @@ def test_criterion_01_benchmark_eigenvalue_regression():
         -0.25,
     )
     bc = BoundaryCondition(left=left, right=right, self_adjoint=True)
-    records = scan_eigenvalues(ev, bc, -331.0, 423.0)
+    eigs = scan_eigenvalues(ev, bc, -331.0, 423.0)
     refs = airy_spectrum(-331.0, 423.0, scan_step=0.1)
     elapsed = time.perf_counter() - t0
-    assert len(records) == 240
-    assert [r.index for r in records] == list(range(-105, 135))
+    assert eigs.lam.size == 240
+    assert eigs.index.tolist() == list(range(-105, 135))
     assert len(refs) == 240
-    errs = np.array([abs(r.lam - ref) for r, ref in zip(records, refs)])
-    idx = np.array([r.index for r in records])
+    errs = np.abs(eigs.lam - refs)
     assert errs.max() <= 1e-6
-    assert errs[np.abs(idx) >= 50].max() <= 1e-10
+    assert errs[np.abs(eigs.index) >= 50].max() <= 1e-10
     assert elapsed <= 60.0
     report(
         1,
         "240 eigenvalues (indices -105..134), max err %.2e, "
         "high-index err %.2e, %.1fs"
-        % (errs.max(), errs[np.abs(idx) >= 50].max(), elapsed),
+        % (errs.max(), errs[np.abs(eigs.index) >= 50].max(), elapsed),
     )
 
 
@@ -173,9 +179,9 @@ def test_criterion_05_free_potential_exactness():
         worst_u = max(worst_u, float(np.max(np.abs(U - free_solution(lam, g.nodes)))))
     assert worst_u <= 1e-13
     bc = BoundaryCondition.dirichlet()
-    records = scan_eigenvalues(ev, bc, -20.5 * np.pi, 20.5 * np.pi)
-    assert len(records) == 41
-    worst_root = max(abs(r.lam - r.index * np.pi) for r in records)
+    eigs = scan_eigenvalues(ev, bc, -20.5 * np.pi, 20.5 * np.pi)
+    assert eigs.lam.size == 41
+    worst_root = np.max(np.abs(eigs.lam - eigs.index * np.pi))
     assert worst_root <= 1e-10
     report(
         5,
@@ -247,7 +253,7 @@ def test_criterion_09_zs_akns_consistency():
     for lam in (0.7, 3.0):
         worst_resid = max(worst_resid, zs_ode_residual(zev_const, lam))
     zev_smooth = build_zs_evaluator(
-        ZsPotential.from_function(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x)), 16
+        zs_potential(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x)), 16
     )
     for lam in (0.7, 3.0, 10.0):
         worst_resid = max(worst_resid, zs_ode_residual(zev_smooth, lam))

@@ -209,6 +209,20 @@ class TestKernelCommand:
         ]
         assert len(probe_lines) >= 2
 
+    def test_auto_closing_line_repeats_the_chosen_probe(self, tmp_path, capsys):
+        # the solve-sweep problem chooses the probed order 12; the closing
+        # goursat_residuals line sums the orders as the probes do
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1.0\nM = 2000\nN = auto\n"
+            "tol = 1e-12\nout = %s\n" % (tmp_path / "a"),
+        )
+        code, out, _ = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        lines = [l for l in out.splitlines() if l and l.split(",")[0].isdigit()]
+        assert [l.split(",")[0] for l in lines] == ["2", "4", "8", "12", "12"]
+        assert lines[-1] == lines[-2]
+
 
 class TestSolveCommand:
     def test_free_cosine_column(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from diracnsbf import kernel
 from diracnsbf.dirac import (
     Potential,
     apply_A,
@@ -14,7 +17,7 @@ from diracnsbf.kernel import (
     kernel_eval,
 )
 
-from oracles import goursat_kernel
+from oracles import goursat_kernel, stacked_recurse
 
 B_MAT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -314,6 +317,39 @@ class TestAutoTruncation:
         # the probe schedule (2, 4, 8, 12) leaves no trace in the family
         np.testing.assert_array_equal(fam.K, build_coefficients(Q, hom, 12).K)
 
+    @pytest.mark.parametrize("kind", ["constant", "trig"])
+    def test_probe_tuples_are_goursat_residuals(self, kind):
+        # both sum the orders one by one through one step, so each probe's
+        # tuple is the outer sups of goursat_residuals at its order, bit for bit
+        g = Grid(1.0, 2000)
+        Q = Potential.constant(g, 0.3, 1.0) if kind == "constant" else trig_potential(g)
+        hom = fundamental_solution_zero(Q)
+        _, report = auto_truncation(Q, hom, 1e-12)
+        assert len(report.probes) >= 4
+        for Np, sup_Q, sup_0 in report.probes:
+            res = goursat_residuals(build_coefficients(Q, hom, Np))
+            assert (res.sup_Q_outer.hex(), res.sup_0_outer.hex()) == (
+                sup_Q.hex(),
+                sup_0.hex(),
+            )
+
+    def test_walk_to_n_max_without_overflow(self):
+        # tol 1e-17 is out of reach, so the whole schedule runs to order
+        # 128; x^n is subnormal on the first nodes there, which lie in the
+        # cells pinned to zero, where no reciprocal is taken
+        g = Grid(1.0, 2000)
+        Q = Potential.constant(g, 0.3, 1.0)
+        hom = fundamental_solution_zero(Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam, report = auto_truncation(Q, hom, 1e-17)
+        assert not report.converged
+        assert report.N == fam.N == report.probes[-1][0] == 128
+        # the stacked form still divides by the subnormal x^n
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = kernel._finalize(Q, hom, 128, stacked_recurse(Q, hom, 128))
+        np.testing.assert_array_equal(fam.K.view(np.uint64), ref.K.view(np.uint64))
+
     @pytest.mark.parametrize(
         "kind, orders",
         [("constant", {1e-12: 12}), ("trig", {1e-12: 16, 1e-10: 14, 1e-8: 12})],
@@ -321,8 +357,6 @@ class TestAutoTruncation:
     def test_orders_and_probes_match_svd_norm(self, monkeypatch, kind, orders):
         # the orders are those the LAPACK SVD norm chose at M = 2000; every
         # probe residual is recomputed through the SVD and agrees to 2e-15
-        from diracnsbf import kernel
-
         g = Grid(1.0, 2000)
         Q = Potential.constant(g, 0.3, 1.0) if kind == "constant" else trig_potential(g)
         hom = fundamental_solution_zero(Q)

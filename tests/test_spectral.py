@@ -11,8 +11,8 @@ from diracnsbf.solution import build_evaluator, evaluate_U
 from diracnsbf.spectral import (
     BoundaryCondition,
     ScanOptions,
+    ScanResult,
     char_function,
-    refine_root,
     scan_eigenvalues,
 )
 
@@ -24,6 +24,22 @@ def make_ev(p_fn, q_fn, M=500, N=12, b=1.0):
     Q = Potential.from_functions(g, p_fn, q_fn)
     hom = fundamental_solution_zero(Q)
     return build_evaluator(build_coefficients(Q, hom, N))
+
+
+def refine_root(ev, bc, bracket, max_iter=80):
+    """One row of the scan's lockstep refinement, as (lam, residual,
+    iterations, converged): bracket is (a, b) across a sign change, or a
+    bare start that must stay within pi / b of itself."""
+    if np.ndim(bracket):
+        a, b = bracket
+        fa, fb = char_function(ev, bc, np.array(bracket))[0].real
+    else:
+        a = b = bracket
+        fa = fb = np.nan
+    row = spectral._refine_lockstep(
+        ev, bc, [a], [b], [fa], [fb], [np.nan], [np.pi / ev.b], max_iter
+    )
+    return tuple(v[0] for v in row)
 
 
 def gauge_problem(M, N):
@@ -103,28 +119,28 @@ class TestCharFunction:
 class TestRefineRoot:
     def test_known_root(self, free_ev):
         bc = BoundaryCondition.dirichlet()
-        rec = refine_root(free_ev, bc, (3.0, 3.3))
-        assert abs(rec.lam - np.pi) < 1e-12
-        assert rec.converged
+        lam, _, _, converged = refine_root(free_ev, bc, (3.0, 3.3))
+        assert abs(lam - np.pi) < 1e-12
+        assert converged
 
     def test_start_exactly_at_root(self, free_ev):
         bc = BoundaryCondition.dirichlet()
-        rec = refine_root(free_ev, bc, (np.pi, 3.3))
-        assert rec.iterations == 0
-        assert rec.lam == pytest.approx(np.pi, abs=1e-15)
+        lam, _, iterations, _ = refine_root(free_ev, bc, (np.pi, 3.3))
+        assert iterations == 0
+        assert lam == pytest.approx(np.pi, abs=1e-15)
 
     def test_flat_region_fails_instead_of_fabricating(self, free_ev):
         # periodic-type blocks give Delta = 2(1 - cos lambda): flat near
         # lambda = pi with no root anywhere close
         bc = BoundaryCondition(left=np.eye(2), right=-np.eye(2))
-        rec = refine_root(free_ev, bc, np.pi + 0.05, max_iter=40)
-        assert not rec.converged
+        _, _, _, converged = refine_root(free_ev, bc, np.pi + 0.05, max_iter=40)
+        assert not converged
 
     def test_double_root_from_nearby_start(self, free_ev):
         bc = BoundaryCondition(left=np.eye(2), right=-np.eye(2))
-        rec = refine_root(free_ev, bc, 2 * np.pi + 0.08, max_iter=120)
-        if rec.converged:
-            assert abs(rec.lam - 2 * np.pi) < 1e-5
+        lam, _, _, converged = refine_root(free_ev, bc, 2 * np.pi + 0.08, max_iter=120)
+        if converged:
+            assert abs(lam - 2 * np.pi) < 1e-5
 
     def test_rejects_bad_bracket(self, free_ev):
         bc = BoundaryCondition.dirichlet()
@@ -135,21 +151,20 @@ class TestRefineRoot:
 class TestScan:
     def test_free_dirichlet_spectrum(self, free_ev):
         bc = BoundaryCondition.dirichlet()
-        recs = scan_eigenvalues(free_ev, bc, -33.0, 33.0)
-        assert len(recs) == 21
-        for rec in recs:
-            assert abs(rec.lam - rec.index * np.pi) < 1e-10
-        assert [r.index for r in recs] == list(range(-10, 11))
+        eigs = scan_eigenvalues(free_ev, bc, -33.0, 33.0)
+        assert eigs.lam.size == 21
+        assert np.all(np.abs(eigs.lam - eigs.index * np.pi) < 1e-10)
+        assert eigs.index.tolist() == list(range(-10, 11))
 
     def test_indexing_without_nonnegative(self, free_ev):
         bc = BoundaryCondition.dirichlet()
-        recs = scan_eigenvalues(free_ev, bc, -10.0, -1.0)
-        assert [r.index for r in recs] == [-3, -2, -1]
-        assert recs[-1].lam == pytest.approx(-np.pi, abs=1e-10)
+        eigs = scan_eigenvalues(free_ev, bc, -10.0, -1.0)
+        assert eigs.index.tolist() == [-3, -2, -1]
+        assert eigs.lam[-1] == pytest.approx(-np.pi, abs=1e-10)
 
     def test_constant_potential_vs_oracle_roots(self, const_ev):
         bc = BoundaryCondition.dirichlet()
-        recs = scan_eigenvalues(const_ev, bc, -20.0, 20.0)
+        eigs = scan_eigenvalues(const_ev, bc, -20.0, 20.0)
 
         def oracle_char(lam):
             return const_q_solution(0.0, 1.0, lam, 1.0)[0, 1].real
@@ -162,9 +177,9 @@ class TestScan:
                 r = optimize.brentq(oracle_char, grid[i], grid[i + 1], xtol=1e-13)
                 if not roots or abs(r - roots[-1]) > 1e-9:
                     roots.append(r)
-        assert len(recs) == len(roots)
-        for rec, ref in zip(recs, roots):
-            assert abs(rec.lam - ref) < 1e-8
+        assert eigs.lam.size == len(roots)
+        for lam, ref in zip(eigs.lam, roots):
+            assert abs(lam - ref) < 1e-8
 
     def test_count_stable_under_refinement(self):
         bc = BoundaryCondition.dirichlet()
@@ -172,39 +187,41 @@ class TestScan:
         ev2 = make_ev(lambda x: 0.3 * x, lambda x: np.cos(x), M=1000, N=18)
         r1 = scan_eigenvalues(ev1, bc, -25.0, 25.0)
         r2 = scan_eigenvalues(ev2, bc, -25.0, 25.0)
-        assert len(r1) == len(r2)
-        for a, b in zip(r1, r2):
-            assert abs(a.lam - b.lam) < 1e-7
+        assert r1.lam.size == r2.lam.size
+        for a, b in zip(r1.lam, r2.lam):
+            assert abs(a - b) < 1e-7
 
     def test_records_sorted_and_tolerances(self, const_ev):
         bc = BoundaryCondition.dirichlet()
-        recs = scan_eigenvalues(const_ev, bc, -10.0, 10.0)
-        lams = [r.lam for r in recs]
+        eigs = scan_eigenvalues(const_ev, bc, -10.0, 10.0)
+        lams = eigs.lam.tolist()
         assert lams == sorted(lams)
-        assert all(np.isfinite(r.residual) for r in recs)
-        assert all(r.converged for r in recs)
+        assert np.all(np.isfinite(eigs.residual))
+        assert np.all(eigs.converged)
 
     def test_lockstep_scan_matches_single_refinement(self, const_ev):
         # the scan refines every bracket of its grid in lockstep; each
-        # record must equal refine_root run on its bracket alone
+        # root must equal one refinement run on its bracket alone
         bc = BoundaryCondition.dirichlet()
         lo, hi, step = -29.9, 30.0, 0.25  # no grid node on the root 0
-        recs = scan_eigenvalues(const_ev, bc, lo, hi, ScanOptions(step=step))
+        eigs = scan_eigenvalues(const_ev, bc, lo, hi, ScanOptions(step=step))
         grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
         vals = char_function(const_ev, bc, grid)[0].real
         brackets = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
         alone = [refine_root(const_ev, bc, (grid[i], grid[i + 1])) for i in brackets]
-        assert len(recs) == len(alone) == 19
-        for rec, ref in zip(recs, alone):
-            assert ref.converged and rec.converged
-            assert abs(rec.lam - ref.lam) <= 1e-12 * max(1.0, abs(ref.lam))
+        assert eigs.lam.size == len(alone) == 19
+        for lam, converged, (ref, _, _, ref_converged) in zip(
+            eigs.lam, eigs.converged, alone
+        ):
+            assert ref_converged and converged
+            assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_unconverged_bracket_warns_and_is_kept(self, free_ev):
         bc = BoundaryCondition.dirichlet()
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            recs = scan_eigenvalues(free_ev, bc, -33.0, 33.0, ScanOptions(max_iter=1))
-        assert [r.index for r in recs] == list(range(-10, 11))
-        assert not all(r.converged for r in recs)
+            eigs = scan_eigenvalues(free_ev, bc, -33.0, 33.0, ScanOptions(max_iter=1))
+        assert eigs.index.tolist() == list(range(-10, 11))
+        assert not np.all(eigs.converged)
 
     def test_lambda_dependent_blocks_secant_path(self, free_ev):
         # y1(0) = 0, y1(b) + lambda y2(b) = 0: Delta = -sin l + l cos l;
@@ -213,7 +230,7 @@ class TestScan:
             left=lambda lam: np.array([[1.0, 0.0], [0.0, 0.0]]),
             right=lambda lam: np.array([[0.0, 0.0], [1.0, lam]]),
         )
-        recs = scan_eigenvalues(free_ev, bc, 1.0, 12.0)
+        eigs = scan_eigenvalues(free_ev, bc, 1.0, 12.0)
 
         def exact(lam):
             return -np.sin(lam) + lam * np.cos(lam)
@@ -228,9 +245,9 @@ class TestScan:
             optimize.brentq(exact, a, b, xtol=1e-13)
             for a, b in ((4.3, 4.7), (7.5, 7.9), (10.7, 11.1))
         ]
-        assert len(recs) == len(refs)
-        for rec, ref in zip(recs, refs):
-            assert abs(rec.lam - ref) < 1e-9
+        assert eigs.lam.size == len(refs)
+        for lam, ref in zip(eigs.lam, refs):
+            assert abs(lam - ref) < 1e-9
 
     def test_self_adjoint_violation_diagnosed(self):
         ev = make_ev(lambda x: 1j * x, lambda x: 0 * x, M=200, N=8)
@@ -244,9 +261,18 @@ class TestScan:
 
     def test_empty_window_warns(self, free_ev):
         bc = BoundaryCondition.dirichlet()
-        with pytest.warns(UserWarning):
-            recs = scan_eigenvalues(free_ev, bc, 0.5, 2.5)
-        assert recs == []
+        with pytest.warns(UserWarning, match="no eigenvalues"):
+            eigs = scan_eigenvalues(free_ev, bc, 0.5, 2.5)
+        assert isinstance(eigs, ScanResult)
+        for name, dtype in (
+            ("lam", np.float64),
+            ("index", np.int64),
+            ("residual", np.float64),
+            ("iterations", np.int64),
+            ("converged", np.bool_),
+        ):
+            column = getattr(eigs, name)
+            assert column.shape == (0,) and column.dtype == dtype
 
 
 class TestRealPath:
@@ -295,13 +321,14 @@ class TestRealPath:
             return evaluate_U(ev, lam, x, derivative)
 
         monkeypatch.setattr(spectral, "evaluate_U", counted)
-        recs = scan_eigenvalues(ev, bc, -331.0, 423.0)
+        eigs = scan_eigenvalues(ev, bc, -331.0, 423.0)
         assert [p for p in passes if not p[1]] == [(2402, False)]
         assert all(size != 101 for size, _ in passes)
         assert len(passes) == 6
         # nonzero lambdas and nonnegative residuals: equal values, equal bits
-        assert len(recs) == 240
-        assert recs == ref
+        assert eigs.lam.size == 240
+        for name in ("lam", "index", "residual", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(eigs, name), getattr(ref, name))
 
 
 class TestGauge:
@@ -327,36 +354,36 @@ class TestGauge:
     def test_benchmark_spectrum_matches_original_problem(self):
         # eigenvalues must be invariant under the gauge
         ev, bc = gauge_problem(M=1000, N=14)
-        recs = scan_eigenvalues(ev, bc, -12.0, 12.0)
+        eigs = scan_eigenvalues(ev, bc, -12.0, 12.0)
         refs = airy_spectrum(-12.0, 12.0)
-        assert len(recs) == len(refs)
-        for rec, ref in zip(recs, refs):
-            assert abs(rec.lam - ref) < 1e-7
+        assert eigs.lam.size == len(refs)
+        for lam, ref in zip(eigs.lam, refs):
+            assert abs(lam - ref) < 1e-7
 
     def test_readme_window_converges_without_creeping(self, readme_gauge):
         # a Newton step within the lambda resolution that lands on or past
         # a bracket end is taken, not replaced by bisection: bisecting
         # would halve the bracket from the scan step for ~35 more rounds
         # and leave the roots near -279.35, 333.26 and 336.40 several ulp off
-        recs = scan_eigenvalues(*readme_gauge, -331.0, 423.0)
-        assert [r.index for r in recs] == list(range(-105, 135))
-        assert all(r.converged for r in recs)
-        assert max(r.iterations for r in recs) <= 4
-        lams = np.array([r.lam for r in recs])
+        eigs = scan_eigenvalues(*readme_gauge, -331.0, 423.0)
+        assert eigs.index.tolist() == list(range(-105, 135))
+        assert np.all(eigs.converged)
+        assert eigs.iterations.max() <= 4
+        lams = eigs.lam
         for guess in (-279.35, 333.26, 336.40):
             lam = lams[np.argmin(np.abs(lams - guess))]
             ref = airy_root_mp(lam)
             assert float(abs(lam - ref) / abs(ref)) <= 2.5e-16
 
     def test_thousands_of_eigenvalues_keep_full_accuracy(self, readme_gauge):
-        recs = scan_eigenvalues(*readme_gauge, -331.0, 1e4)
-        assert all(r.converged for r in recs)
+        eigs = scan_eigenvalues(*readme_gauge, -331.0, 1e4)
+        assert np.all(eigs.converged)
         # the spacing of the eigenvalues is at least 2.4 on this window
         vals = airy_char(np.linspace(-331.0, 1e4, 41325))  # step 0.25
         sign_changes = np.count_nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-        assert len(recs) == sign_changes + 1 == 3289  # + the eigenvalue 1
+        assert eigs.lam.size == sign_changes + 1 == 3289  # + the eigenvalue 1
         # top-index roots whose last Newton steps land on a bracket end
-        by_index = {r.index: r.lam for r in recs}
+        by_index = dict(zip(eigs.index.tolist(), eigs.lam.tolist()))
         for k in (3168, 3170, 3172, 3176, 3179, 3180, 3182):
             ref = airy_root_mp(by_index[k])
             assert float(abs(by_index[k] - ref) / abs(ref)) <= 2e-16

@@ -11,11 +11,10 @@ from diracnsbf.zs import (
     ZsPotential,
     build_zs_evaluator,
     evaluate_Z,
-    zs_ode_residual,
     zs_to_dirac,
 )
 
-from oracles import zs_const_solution
+from oracles import zs_const_solution, zs_ode_residual, zs_potential
 
 
 def zs_series_coefficients(zev):
@@ -33,7 +32,7 @@ def zs_series_coefficients(zev):
 @pytest.fixture(scope="module")
 def smooth_zev():
     g = Grid(1.0, 1000)
-    zs = ZsPotential.from_function(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x))
+    zs = zs_potential(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x))
     return build_zs_evaluator(zs, 16)
 
 
