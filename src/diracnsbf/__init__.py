@@ -33,25 +33,16 @@ from .kernel import (
 )
 from .solution import (
     IvpSolution,
-    NsbfEvaluator,
-    build_evaluator,
     evaluate_U,
     solve_ivp,
 )
 from .special import bessel_pair_batch
 from .spectral import (
     BoundaryCondition,
-    ScanOptions,
     ScanResult,
     char_function,
     scan_eigenvalues,
 )
-from .zs import (
-    ZsEvaluator,
-    ZsPotential,
-    build_zs_evaluator,
-    evaluate_Z,
-    zs_to_dirac,
-)
+from .zs import ZsPotential, evaluate_Z, zs_to_dirac
 
 __version__ = "0.1.0"

@@ -65,8 +65,8 @@ from .kernel import (
     build_coefficients,
     goursat_residuals,
 )
-from .solution import build_evaluator, evaluate_U, solve_ivp
-from .spectral import BoundaryCondition, ScanOptions, scan_eigenvalues
+from .solution import evaluate_U, solve_ivp
+from .spectral import BoundaryCondition, scan_eigenvalues
 from .zs import ZsPotential, zs_to_dirac
 
 _KEYS = {
@@ -144,9 +144,12 @@ def _get_float(cfg, key, default=None):
             raise ConfigError("missing required key %r" % key)
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError:
         raise ConfigError("key %r must be a number, got %r" % (key, cfg[key]))
+    if not np.isfinite(value):
+        raise ConfigError("key %r must be finite, got %r" % (key, cfg[key]))
+    return value
 
 
 def _parse_constant(text, what):
@@ -222,6 +225,8 @@ class Problem:
         except ValueError as exc:
             raise ConfigError(str(exc))
         self.tol = _get_float(cfg, "tol", 1e-10)
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive, got %r" % cfg["tol"])
         nspec = cfg.get("N", str(DEFAULT_TRUNCATION)).strip()
         if nspec == "auto":
             self.N = "auto"
@@ -344,8 +349,8 @@ class Problem:
     def _load_cached(self, path):
         """Coefficients from a cache file, or None when it cannot be read
         (or its arrays lack the grid's shape or the potential's dtype, or
-        U is not unimodular).  The file holds K and U only: N is the order
-        count of K, and U^-1 is the adjugate of U, bit for bit as built."""
+        U is not unimodular).  The file holds K and U only: U^-1 is the
+        adjugate of U, bit for bit as built."""
         shape = (self.grid.size, 2, 2)
         try:
             with np.load(path) as data:
@@ -362,9 +367,7 @@ class Problem:
             )
             return None
         hom = HomogeneousSolution(grid=self.grid, U=U, Uinv=Uinv)
-        return KernelCoefficients(
-            grid=self.grid, potential=self.potential, hom=hom, N=len(K) - 2, K=K
-        )
+        return KernelCoefficients(potential=self.potential, hom=hom, K=K)
 
     def _store_cached(self, path, coeffs):
         """Write the cache file under a temporary name, then move it in place."""
@@ -453,11 +456,10 @@ def cmd_solve(problem, args):
     lams = _parse_lambdas(args.lambdas)
     c = _parse_block_vector(args.c)
     coeffs = problem.coefficients()
-    ev = build_evaluator(coeffs)
     t0 = time.perf_counter()
     for k, lam in enumerate(lams):
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(ev, lam, c)
+            sol = solve_ivp(coeffs, lam, c)
         if not (np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.residual_nodes))):
             raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
         # re_y1, im_y1, re_y2, im_y2 per node; a real Y has +0 im columns
@@ -490,10 +492,11 @@ def cmd_spectrum(problem, args):
         if step <= 0:
             raise ConfigError("scan_step must be positive")
     coeffs = problem.coefficients()
-    ev = build_evaluator(coeffs)
-    opts = ScanOptions(step=step)
     t0 = time.perf_counter()
-    eigs = scan_eigenvalues(ev, problem.bc, lam_min, lam_max, opts)
+    try:
+        eigs = scan_eigenvalues(coeffs, problem.bc, lam_min, lam_max, step=step)
+    except ArithmeticError as exc:
+        raise ConfigError(str(exc))
     dt = time.perf_counter() - t0
     table = np.column_stack((eigs.index, eigs.lam, eigs.residual, eigs.iterations))
     path = problem.out + "_eigs.csv"
@@ -535,7 +538,8 @@ def _run_checks(problem):
         1e-10 * max(1.0, grid.b),
     )
     try:
-        hom = fundamental_solution_zero(Q)
+        # unchecked, so that the two checks below judge their own values
+        hom = fundamental_solution_zero(Q, check=False)
         record("fundamental_det_one", hom.det_defect, 1e-10)
         record(
             "fundamental_ode_residual",
@@ -564,19 +568,18 @@ def _run_checks(problem):
     Q0 = Potential.zero(grid)
     hom0 = fundamental_solution_zero(Q0)
     coeffs0 = build_coefficients(Q0, hom0, N)
-    ev0 = build_evaluator(coeffs0)
     record("free_coefficients_vanish", np.max(np.abs(coeffs0.K)), 1e-13)
     record(
         "free_solution_exact",
-        np.max(np.abs(evaluate_U(ev0, 3.3, grid.b) - free_solution(3.3, grid.b))),
+        np.max(np.abs(evaluate_U(coeffs0, 3.3, grid.b) - free_solution(3.3, grid.b))),
         1e-13,
     )
     # derivative against central differences
-    ev = build_evaluator(coeffs)
     worst = 0.0
     for lam, x in ((0.0, grid.b), (2.5, 0.5 * grid.b), (-11.0, grid.b)):
-        fd = (evaluate_U(ev, lam + 1e-5, x) - evaluate_U(ev, lam - 1e-5, x)) / 2e-5
-        dU = evaluate_U(ev, lam, x, derivative=True)[1]
+        up, down = evaluate_U(coeffs, lam + 1e-5, x), evaluate_U(coeffs, lam - 1e-5, x)
+        fd = (up - down) / 2e-5
+        dU = evaluate_U(coeffs, lam, x, derivative=True)[1]
         worst = max(worst, np.max(np.abs(dU - fd)))
     record("derivative_vs_fd", worst, 1e-6)
     return checks

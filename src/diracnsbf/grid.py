@@ -6,7 +6,7 @@ shape (M + 1, 2, 2).  This module supplies the numerical substrate: an
 indefinite integral built from a composite 6-point Newton-Cotes rule
 (block size 5, exact for polynomials up to degree 5, observed order 6 on
 smooth integrands), a 6-point finite-difference derivative, local cubic
-interpolation, and the per-node scaling and grid-compatibility checks.
+interpolation, and the grid-compatibility check.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ __all__ = [
     "GridMismatchError",
     "indefinite_integral",
     "differentiate",
-    "scale_by_nodes",
     "cubic_interp",
     "families_at",
     "check_same_grid",
@@ -185,15 +184,6 @@ def differentiate(grid, f):
             out[i] += w * ends[j]
     # a reciprocal, as numpy divides a complex array by a real scalar
     return out * (1.0 / grid.h)
-
-
-def scale_by_nodes(scalars, f):
-    """Per-node scalar multiple scalars[i] * f(x_i)."""
-    scalars = np.asarray(scalars)
-    f = np.asarray(f)
-    if scalars.shape[0] != f.shape[0]:
-        raise GridMismatchError("scalar factor on a different grid")
-    return scalars.reshape(scalars.shape + (1,) * (f.ndim - 1)) * f
 
 
 def cubic_interp(grid, values, x):

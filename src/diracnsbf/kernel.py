@@ -23,14 +23,21 @@ whose sup-norms drive the automatic truncation-order choice.  Both decay
 to the quadrature floor as N grows; the floor itself sits at the first
 nodes (where a fixed-order rule resolves the least), so the truncation
 choice monitors the outer half of the grid where the series is consumed.
+
+Both builds, build_coefficients and auto_truncation, return one
+KernelCoefficients: the potential, U(0, x) and C_-1..C_N.  Every evaluator
+(evaluate_U, solve_ivp, char_function, scan_eigenvalues, evaluate_Z,
+kernel_eval) takes that object as it is; the folded series coefficients
+are made from it on the first evaluation and kept with it.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dirac import I2, ResidualError, _b_left, _b_right, apply_S, matrix_norm
-from .grid import families_at, scale_by_nodes
+from .grid import families_at
 from .special import legendre_seq
 
 __all__ = [
@@ -63,45 +70,46 @@ _SANITIZE_CAP = 8  # never cut more than M / _SANITIZE_CAP cells
 
 @dataclass(frozen=True)
 class KernelCoefficients:
-    """C_n for n = -1..N on one grid; theta_n = x^n C_n is derived on demand.
+    """C_n for n = -1..N on the potential's grid: what every evaluator takes.
 
-    K is indexed with an offset of one: row k holds order n = k - 1.
+    K is indexed with an offset of one: row k holds order n = k - 1.  The
+    grid, the order N and the folded coefficients of the Bessel series
+    derive from the three fields.
     """
 
-    grid: object
     potential: object
     hom: object
-    N: int
     K: np.ndarray
 
-    def _row(self, n):
-        if not -1 <= n <= self.N:
-            raise IndexError("order %d outside -1..%d" % (n, self.N))
-        return n + 1
+    @property
+    def grid(self):
+        return self.potential.grid
 
-    def theta_n(self, n):
-        """theta_n(x) sampled on the grid.
-
-        theta_-1 = -C_0 / x, with the forced limit -B Q(0) / 2 at x = 0
-        that follows from U(0, x) = I + B Q(0) x + O(x^2).
-        """
-        row = self.K[self._row(n)]
-        x = self.grid.nodes
-        if n >= 0:
-            return scale_by_nodes(x**n, row)
-        out = np.empty_like(row)
-        out[1:] = -self.K[1][1:] / x[1:, None, None]
-        out[0] = -0.5 * _b_left(self.potential.matrices[0])
-        return out
+    @property
+    def N(self):
+        return len(self.K) - 2
 
     def coeff(self, n):
         """C_n(x) sampled on the grid."""
-        return self.K[self._row(n)]
+        if not -1 <= n <= self.N:
+            raise IndexError("order %d outside -1..%d" % (n, self.N))
+        return self.K[n + 1]
 
     @property
     def coeffs(self):
         """C_0..C_N as one (N + 1, M + 1, 2, 2) array."""
         return self.K[1:]
+
+    @cached_property
+    def folded(self):
+        """Kt_n of the series U = U0 + sum_n Kt_n j_n(lambda x), made on
+        first use: 2 (-1)^(n/2) C_n for even n, 2 (-1)^((n+1)/2) C_n B for
+        odd n, as one (N + 1, M + 1, 2, 2) array."""
+        n = np.arange(self.N + 1)
+        Kt = self.coeffs.copy()
+        Kt[1::2] = _b_right(Kt[1::2])
+        Kt *= (2.0 * (-1.0) ** ((n + 1) // 2))[:, None, None, None]
+        return Kt
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def build_coefficients(Q, hom, N):
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    return _finalize(Q, hom, N, _recurse(Q, hom, N))
+    return _finalize(Q, hom, _recurse(Q, hom, N))
 
 
 def _recurse(Q, hom, N, K=None):
@@ -242,13 +250,13 @@ def _recursion_step(K, n, x, xpow, hom):
     return xn
 
 
-def _finalize(Q, hom, N, K):
+def _finalize(Q, hom, K):
     # orders 1..N: the guard, and the exact limit C_n(0) = 0 at x = 0
     guard, i0, w = _guard_weights(Q.grid)
     Kg = K.copy()
     Kg[2:, 0] = 0.0
     Kg[2:, guard] = np.einsum("gj,njab->ngab", w, K[2:, i0 : i0 + 4])
-    return KernelCoefficients(grid=Q.grid, potential=Q, hom=hom, N=N, K=Kg)
+    return KernelCoefficients(potential=Q, hom=hom, K=Kg)
 
 
 def kernel_eval(coeffs, x, t):
@@ -356,9 +364,9 @@ def auto_truncation(Q, hom, tol, N_max=128):
         report_probes.append((Np, float(sup_Q), float(sup_0)))
         if level[Np] <= tol:
             n_best = next(n for n, v in enumerate(level) if v <= tol)
-            return _finalize(Q, hom, n_best, K[: n_best + 2]), TruncationReport(
+            return _finalize(Q, hom, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
-    return _finalize(Q, hom, Np, K), TruncationReport(
+    return _finalize(Q, hom, K), TruncationReport(
         converged=False, N=Np, tol=tol, probes=report_probes
     )

@@ -7,7 +7,9 @@ Dirac system is the Bessel series
 
 where the folded coefficients Kt absorb the parity signs and the B factor
 of the odd terms (Kt_n = 2 (-1)^(n/2) C_n for even n and
-2 (-1)^((n+1)/2) C_n B for odd n).  The lambda-derivative follows from the
+2 (-1)^((n+1)/2) C_n B for odd n).  Both evaluators take the
+KernelCoefficients the build returns, whose `folded` property forms Kt
+on the first evaluation and keeps it.  The lambda-derivative follows from the
 Bessel derivative identities and is assembled from j_n(z) and j_n(z)/z so
 that lambda = 0 needs no limit handling anywhere.  `evaluate_U` is the one
 evaluator: lambda and x broadcast against each other, and every point
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import (
-    _b_right,
     _real_if_real,
     dirac_residual_nodes,
     free_solution,
@@ -33,32 +34,10 @@ from .grid import families_at
 from .special import bessel_pair_batch
 
 __all__ = [
-    "NsbfEvaluator",
     "IvpSolution",
-    "build_evaluator",
     "evaluate_U",
     "solve_ivp",
 ]
-
-
-@dataclass(frozen=True)
-class NsbfEvaluator:
-    """Precomputed folded coefficients for fast sweeps over lambda."""
-
-    coeffs: object
-    Ktilde: np.ndarray  # (N + 1, M + 1, 2, 2)
-
-    @property
-    def grid(self):
-        return self.coeffs.grid
-
-    @property
-    def N(self):
-        return self.coeffs.N
-
-    @property
-    def b(self):
-        return self.coeffs.grid.b
 
 
 @dataclass(frozen=True)
@@ -76,16 +55,7 @@ class IvpSolution:
         return float(np.max(self.residual_nodes[1:-1]))
 
 
-def build_evaluator(coeffs):
-    """Fold parity signs and the B factor into per-order coefficients."""
-    n = np.arange(coeffs.N + 1)
-    Kt = coeffs.coeffs.copy()
-    Kt[1::2] = _b_right(Kt[1::2])
-    Kt *= (2.0 * (-1.0) ** ((n + 1) // 2))[:, None, None, None]
-    return NsbfEvaluator(coeffs=coeffs, Ktilde=Kt)
-
-
-def evaluate_U(ev, lam, x, derivative=False):
+def evaluate_U(coeffs, lam, x, derivative=False):
     """U^N(lambda, x), and dU^N/dlambda with derivative=True.
 
     lam and x broadcast against each other (0 <= x <= b); each result has
@@ -101,13 +71,13 @@ def evaluate_U(ev, lam, x, derivative=False):
     """
     (lam,) = _real_if_real(lam)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > ev.b * (1 + 1e-12)):
+    if np.any(x < 0.0) or np.any(x > coeffs.grid.b * (1 + 1e-12)):
         raise ValueError("x outside [0, b]")
-    N = ev.N
+    N = coeffs.N
     z = lam * x
     shape = (N + 2,) + z.shape
     jn, jz = (a.reshape(shape) for a in bessel_pair_batch(z.ravel(), N + 1))
-    Kt = families_at(ev.grid, ev.Ktilde, x)
+    Kt = families_at(coeffs.grid, coeffs.folded, x)
     U = free_solution(lam, x) + np.einsum("n...,n...ij->...ij", jn[: N + 1], Kt)
     if not derivative:
         return U
@@ -122,15 +92,15 @@ def evaluate_U(ev, lam, x, derivative=False):
     return U, dU
 
 
-def solve_ivp(ev, lam, c):
+def solve_ivp(coeffs, lam, c):
     """Initial-value solution Y(lambda, x_i) = U^N(lambda, x_i) c.
 
     Y is float64 when lambda, c and the potential are real.
     """
     (lam,) = _real_if_real(lam)
     (c,) = _real_if_real(np.reshape(c, 2))
-    U = evaluate_U(ev, lam, ev.grid.nodes)
+    U = evaluate_U(coeffs, lam, coeffs.grid.nodes)
     # written out: a real stacked matmul rounds unlike the complex one
     Y = U[..., 0] * c[0] + U[..., 1] * c[1]
-    resid = dirac_residual_nodes(Y, ev.coeffs.potential, lam)
+    resid = dirac_residual_nodes(Y, coeffs.potential, lam)
     return IvpSolution(lam=complex(lam), c=c, Y=Y, residual_nodes=resid)

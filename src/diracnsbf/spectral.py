@@ -5,18 +5,18 @@ are the zeros of Delta(lambda) = det(A_left + A_right U(lambda, b)).  U and
 dU/dlambda at x = b for any set of lambdas cost one batched Bessel pass;
 real lambdas, a real potential and real blocks give Delta in float64.
 The scan samples Delta alone, without its slope, on a uniform lambda grid,
-checks there that a problem flagged self-adjoint has a real Delta, and
-brackets sign changes of its real restriction (plus suspicious local
-minima of |Delta|).  All candidates are then refined together by a
-lockstep safeguarded Newton iteration: each round evaluates Delta and its
-lambda-derivative at every root still iterating with one Bessel pass,
-while bisection fallbacks, tolerances and trust radii act per root.  The
-surviving roots are indexed with index 0 anchored at the smallest
-nonnegative eigenvalue.
+checks there that Delta is real, and brackets its sign changes (plus
+suspicious local minima of |Delta|).  All candidates are then refined
+together by a lockstep safeguarded Newton iteration: each round evaluates
+Delta and its lambda-derivative at every root still iterating with one
+Bessel pass, while bisection fallbacks, tolerances and trust radii act per
+root.  The surviving roots are indexed with index 0 anchored at the
+smallest nonnegative eigenvalue.  Every function here takes the
+KernelCoefficients of the build.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .solution import evaluate_U
 
 __all__ = [
     "BoundaryCondition",
-    "ScanOptions",
     "ScanResult",
     "char_function",
     "scan_eigenvalues",
@@ -41,13 +40,10 @@ class BoundaryCondition:
     blocks the characteristic function comes with its lambda-derivative
     and refinement takes Newton steps; a lambda-dependent block gives no
     derivative, and refinement takes false-position steps instead.
-    self_adjoint=True asserts a real characteristic function on the real
-    axis and turns a violation on the scan grid into a diagnostic.
     """
 
     left: object
     right: object
-    self_adjoint: bool = None
 
     @classmethod
     def dirichlet(cls):
@@ -55,7 +51,6 @@ class BoundaryCondition:
         return cls(
             left=np.array([[1.0, 0.0], [0.0, 0.0]]),
             right=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            self_adjoint=True,
         )
 
     def block(self, which, lam):
@@ -67,12 +62,6 @@ class BoundaryCondition:
     @property
     def is_constant(self):
         return not (callable(self.left) or callable(self.right))
-
-
-@dataclass(frozen=True)
-class ScanOptions:
-    step: float = None  # default pi / (10 b)
-    max_iter: int = 80
 
 
 @dataclass(frozen=True)
@@ -104,7 +93,7 @@ def _det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def char_function(ev, bc, lams, derivative=True):
+def char_function(coeffs, bc, lams, derivative=True):
     """Delta(lambda) = det(A_left + A_right U^N(lambda, b)) and its slope.
 
     lams may be a scalar or an array of any shape, complex values
@@ -117,8 +106,9 @@ def char_function(ev, bc, lams, derivative=True):
     at singular M).
     """
     lams = np.asarray(lams)
+    b = coeffs.grid.b
     if not bc.is_constant:
-        U = evaluate_U(ev, lams, ev.b)
+        U = evaluate_U(coeffs, lams, b)
 
         def stack(which):
             blocks = [bc.block(which, lam) for lam in lams.ravel()]
@@ -128,8 +118,8 @@ def char_function(ev, bc, lams, derivative=True):
         return (delta, None) if derivative else delta
     R = bc.block("right", 0.0)
     if not derivative:
-        return _det2(bc.block("left", 0.0) + R @ evaluate_U(ev, lams, ev.b))
-    U, dU = evaluate_U(ev, lams, ev.b, derivative=True)
+        return _det2(bc.block("left", 0.0) + R @ evaluate_U(coeffs, lams, b))
+    U, dU = evaluate_U(coeffs, lams, b, derivative=True)
     M = bc.block("left", 0.0) + R @ U
     dM = R @ dU
     slope = (
@@ -141,7 +131,7 @@ def char_function(ev, bc, lams, derivative=True):
     return _det2(M), slope
 
 
-def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
+def _refine_lockstep(coeffs, bc, a, b, fa, fb, tol, trust, max_iter):
     """Safeguarded Newton on many roots of Re Delta at once.
 
     Row k is a bracket [a_k, b_k] whose endpoint values fa_k, fb_k
@@ -198,7 +188,7 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
         rows = active.copy()
         moved = np.abs(new - lam)
         lam[rows] = new[rows]
-        delta, slope = char_function(ev, bc, lam[rows])
+        delta, slope = char_function(coeffs, bc, lam[rows])
         f[rows] = delta.real
         df[rows] = np.nan if slope is None else slope.real
         lower = rows & bracketed & (np.sign(f) == np.sign(fa))
@@ -246,7 +236,7 @@ def _refine_lockstep(ev, bc, a, b, fa, fb, tol, trust, max_iter):
     return out_lam, out_res, out_it, out_ok
 
 
-def _scan_window(ev, bc, lam_min, lam_max, opts):
+def _scan_window(coeffs, bc, lam_min, lam_max, step, max_iter):
     """Refined roots of Re Delta found on the scan grid of the window.
 
     Sign changes (and exact zeros) of the grid values are refined from
@@ -254,21 +244,22 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
     does not converge is kept, flagged, and reported by a RuntimeWarning.
     Local minima of |Delta| without a sign change (possible even-order
     roots) get an unbracketed polish, kept only when it converges cleanly
-    inside the window.  The grid takes Delta without its slope; a problem
-    flagged self-adjoint whose grid values are not real raises
-    ArithmeticError before any refinement.
+    inside the window.  The grid takes Delta without its slope; grid
+    values that are not real (|Im| above 1e-8 of max |Delta|) raise
+    ArithmeticError before any refinement, since the scan brackets roots
+    of a real function.
     """
-    npts = max(2, int(np.ceil((lam_max - lam_min) / opts.step)) + 1)
+    npts = max(2, int(np.ceil((lam_max - lam_min) / step)) + 1)
     grid = np.linspace(lam_min, lam_max, npts)
-    vals = char_function(ev, bc, grid, derivative=False)
-    if bc.self_adjoint:
-        im_level = np.max(np.abs(vals.imag))
-        re_scale = max(np.max(np.abs(vals)), 1e-300)
-        if im_level > 1e-8 * re_scale:
-            raise ArithmeticError(
-                "problem flagged self-adjoint but Delta is complex on the real "
-                "axis (|Im|/|Delta| = %.2e)" % (im_level / re_scale)
-            )
+    vals = char_function(coeffs, bc, grid, derivative=False)
+    im_level = np.max(np.abs(vals.imag))
+    scale = max(np.max(np.abs(vals)), 1e-300)
+    if im_level > 1e-8 * scale:
+        raise ArithmeticError(
+            "Delta is complex on the real axis (|Im|/|Delta| = %.2e); the scan "
+            "finds the eigenvalues of problems with a real Delta only"
+            % (im_level / scale)
+        )
     f = vals.real
     sgn = np.sign(f)
     zero = sgn[:-1] == 0.0
@@ -287,22 +278,22 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
     )
     nb, m, nan = len(bra), len(mins), np.nan
     lam, res, it, ok = _refine_lockstep(
-        ev,
+        coeffs,
         bc,
         a=np.r_[grid[bra], grid[mins]],
         b=np.r_[grid[bra + 1], grid[mins]],
         fa=np.r_[np.where(zero, nan, f[bra]), np.full(m, nan)],
         fb=np.r_[f[bra + 1], np.full(m, nan)],
         tol=np.r_[np.full(nb, nan), np.full(m, tol_min)],
-        trust=np.r_[np.full(nb, np.pi / ev.b), np.full(m, 3.0 * opts.step)],
-        max_iter=opts.max_iter,
+        trust=np.r_[np.full(nb, np.pi / coeffs.grid.b), np.full(m, 3.0 * step)],
+        max_iter=max_iter,
     )
     failed = lam[:nb][~ok[:nb]]
     if failed.size:
         warnings.warn(
             "%d bracketed root(s) did not converge within %d iterations, kept "
             "unconverged at lambda = %s"
-            % (failed.size, opts.max_iter, ", ".join("%.15g" % v for v in failed)),
+            % (failed.size, max_iter, ", ".join("%.15g" % v for v in failed)),
             RuntimeWarning,
             stacklevel=3,
         )
@@ -311,7 +302,7 @@ def _scan_window(ev, bc, lam_min, lam_max, opts):
     return lam[keep], res[keep], it[keep], ok[keep]
 
 
-def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
+def scan_eigenvalues(coeffs, bc, lam_min, lam_max, step=None, max_iter=80):
     """All real eigenvalues in [lam_min, lam_max], refined and indexed.
 
     Returns a ScanResult sorted by eigenvalue (a stable sort of the roots
@@ -319,17 +310,18 @@ def scan_eigenvalues(ev, bc, lam_min, lam_max, options=None):
     the smaller residual stays.  The smallest nonnegative eigenvalue
     carries index 0 and indices decrease leftward (when every eigenvalue
     is negative the rightmost one gets index -1).  An empty window warns
-    and returns empty arrays.
+    and returns empty arrays.  The scan step defaults to pi / (10 b);
+    max_iter bounds the refinement rounds.  A Delta that is not real on
+    the scan grid raises ArithmeticError.
     """
     if not lam_min < lam_max:
         raise ValueError("need lam_min < lam_max")
-    opts = options or ScanOptions()
-    if opts.step is None:
-        opts = replace(opts, step=np.pi / (10.0 * ev.b))
-    lam, res, it, ok = _scan_window(ev, bc, lam_min, lam_max, opts)
+    if step is None:
+        step = np.pi / (10.0 * coeffs.grid.b)
+    lam, res, it, ok = _scan_window(coeffs, bc, lam_min, lam_max, step, max_iter)
     kept = []
     for i in np.argsort(lam, kind="stable"):
-        if kept and abs(lam[i] - lam[kept[-1]]) < _DEDUPE_FRACTION * opts.step:
+        if kept and abs(lam[i] - lam[kept[-1]]) < _DEDUPE_FRACTION * step:
             if res[i] < res[kept[-1]]:
                 kept[-1] = i
             continue

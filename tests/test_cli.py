@@ -127,6 +127,32 @@ class TestConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "non-finite kernel coefficients at N=%d, M=200" % (6 if N == "6" else 2) in err
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("kernel", "M=nan"),
+            ("kernel", "M=inf"),
+            ("spectrum", "lambda_max=inf"),
+            ("spectrum", "scan_step=nan"),
+            ("kernel", "tol=0"),
+            ("kernel", "tol=-1"),
+            ("kernel", "tol=nan"),
+        ],
+    )
+    def test_non_finite_or_non_positive_numbers(self, tmp_path, capsys, command, setting):
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0\nq_expr = 1\nM = 100\nN = auto\n"
+            "bc_left = 1,0;0,0\nbc_right = 0,0;1,0\n"
+            "lambda_min = -5\nlambda_max = 5\nout = %s\n" % (tmp_path / "n"),
+        )
+        code, _, err = run([command, "--config", cfg, "--set", setting], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert setting.split("=")[0] in err
+        assert not (tmp_path / "n_coeffs.csv").exists()
+        assert not (tmp_path / "n_eigs.csv").exists()
+
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -431,7 +457,9 @@ class TestSpectrumCommand:
 
     def test_unconverged_roots_in_summary(self, tmp_path, capsys, monkeypatch):
         # one Newton round leaves bracketed roots unconverged; they are kept
-        monkeypatch.setattr(cli, "ScanOptions", functools.partial(cli.ScanOptions, max_iter=1))
+        monkeypatch.setattr(
+            cli, "scan_eigenvalues", functools.partial(cli.scan_eigenvalues, max_iter=1)
+        )
         cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "u"))
         with pytest.warns(RuntimeWarning, match="did not converge") as caught:
             code, out, _ = run(["spectrum", "--config", cfg], capsys)
@@ -450,6 +478,19 @@ class TestSpectrumCommand:
         code, _, err = run(["spectrum", "--config", cfg], capsys)
         assert code == 2
         assert "bc_left" in err
+
+    def test_complex_delta_is_a_config_error(self, tmp_path, capsys):
+        # Delta(0) = -0.479i: a complex Delta has no real sign changes to scan
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 1i*x\nq_expr = 0\nM = 200\nN = 8\n"
+            "bc_left = 1,0;0,0\nbc_right = 0,0;1,0\n"
+            "lambda_min = -5\nlambda_max = 5\nout = %s\n" % (tmp_path / "c"),
+        )
+        code, _, err = run(["spectrum", "--config", cfg], capsys)
+        assert code == 2
+        assert err.startswith("config error: Delta is complex on the real axis")
+        assert not (tmp_path / "c_eigs.csv").exists()
 
     def test_gauge_spectrum_matches_plain(self, tmp_path, capsys):
         # diag(-x, 1) benchmark via the gauge route, few eigenvalues
@@ -538,7 +579,7 @@ class TestCsvOutput:
             assert not any("-0" in line.split(",")[3::2] for line in lines)
 
     def test_solve_files_hold_the_solutions(self, tmp_path, capsys, complex_path):
-        from diracnsbf.solution import build_evaluator, solve_ivp
+        from diracnsbf.solution import solve_ivp
 
         for p_expr, out in (("0.3", "s"), ("sin(3*x) + 0.5i*x", "c")):
             cfg = write_config(
@@ -549,7 +590,7 @@ class TestCsvOutput:
             code, _, _ = run(["solve", "--config", cfg, "--lambdas=-7.25,3+1i"], capsys)
             assert code == 0
             problem = cli.Problem(cli.load_config(cfg))
-            ev = build_evaluator(problem.coefficients())
+            ev = problem.coefficients()
             for k, lam in enumerate([-7.25, 3 + 1j]):
                 sol = solve_ivp(ev, complex(lam), [1, 0])
                 # the file holds the all-complex evaluation, imaginary parts
@@ -604,6 +645,38 @@ class TestValidateCommand:
             "free_solution_exact",
             "derivative_vs_fd",
         ]
+
+
+    def test_propagator_drift_fails_its_own_checks(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        # a det drift of 1e-8 in U(0, x) of the checked potential; the Q = 0
+        # propagator of the free checks stays exact
+        rk4_step_maps = cli.dirac._rk4_step_maps
+
+        def poisoned(p, q, h):
+            D = rk4_step_maps(p, q, h)
+            if np.any(q):
+                D[0, 0, 0] += 1e-8
+            return D
+
+        monkeypatch.setattr(cli.dirac, "_rk4_step_maps", poisoned)
+        cfg = write_config(tmp_path, "M = 500\nN = 8\nout = %s\n" % (tmp_path / "d"))
+        code, out, _ = run(["validate", "--config", cfg, "--json"], capsys)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert list(checks) == [
+            "quadrature_cosine",
+            "fundamental_det_one",
+            "fundamental_ode_residual",
+            "lambda0_closure",
+            "free_coefficients_vanish",
+            "free_solution_exact",
+            "derivative_vs_fd",
+        ]
+        failed = [name for name, c in checks.items() if not c["passed"]]
+        assert failed == ["fundamental_det_one", "fundamental_ode_residual"]
+        assert 5e-9 < checks["fundamental_det_one"]["value"] < 2e-8
 
 
 class TestZsIngestion:

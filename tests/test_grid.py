@@ -7,7 +7,6 @@ from diracnsbf.grid import (
     cubic_interp,
     differentiate,
     indefinite_integral,
-    scale_by_nodes,
 )
 
 from formal_powers import indefinite_integral_weighted
@@ -178,20 +177,6 @@ class TestDifferentiate:
         assert d.dtype == np.float64
         assert not dc.imag.any()
         np.testing.assert_array_equal(d.view(np.uint64), dc.real.copy().view(np.uint64))
-
-
-class TestPointwiseAlgebra:
-    def test_scale_by_nodes(self):
-        g = Grid(1.0, 20)
-        f = mat_const(g, np.eye(2))
-        out = scale_by_nodes(g.nodes, f)
-        np.testing.assert_allclose(out[:, 0, 0], g.nodes, atol=0)
-
-    def test_mismatch_raises(self):
-        g = Grid(1.0, 20)
-        f = mat_const(g, np.eye(2))
-        with pytest.raises(GridMismatchError):
-            scale_by_nodes(np.zeros(7), f)
 
 
 class TestCubicInterp:

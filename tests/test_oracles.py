@@ -4,7 +4,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import airy_char, airy_root_mp, airy_spectrum, const_q_solution, zs_const_solution
+from diracnsbf.grid import Grid, GridMismatchError
+
+from oracles import (
+    airy_char,
+    airy_root_mp,
+    airy_spectrum,
+    const_q_solution,
+    scale_by_nodes,
+    zs_const_solution,
+)
 
 
 class TestConstQOracle:
@@ -72,3 +81,17 @@ class TestAiryOracle:
         sp = airy_spectrum(390.0, 410.0)
         gaps = np.diff(sp)
         assert np.max(np.abs(gaps - np.pi)) < 1e-2
+
+
+class TestPointwiseAlgebra:
+    def test_scale_by_nodes(self):
+        g = Grid(1.0, 20)
+        f = np.broadcast_to(np.eye(2, dtype=complex), (g.size, 2, 2)).copy()
+        out = scale_by_nodes(g.nodes, f)
+        np.testing.assert_allclose(out[:, 0, 0], g.nodes, atol=0)
+
+    def test_mismatch_raises(self):
+        g = Grid(1.0, 20)
+        f = np.broadcast_to(np.eye(2, dtype=complex), (g.size, 2, 2)).copy()
+        with pytest.raises(GridMismatchError):
+            scale_by_nodes(np.zeros(7), f)

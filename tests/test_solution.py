@@ -4,7 +4,7 @@ import pytest
 from diracnsbf.dirac import Potential, free_solution, fundamental_solution_zero
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients, goursat_residuals
-from diracnsbf.solution import build_evaluator, evaluate_U, solve_ivp
+from diracnsbf.solution import evaluate_U, solve_ivp
 from diracnsbf.special import bessel_pair_batch
 
 from oracles import central_dlambda, const_q_solution
@@ -15,7 +15,7 @@ def const_ev():
     g = Grid(1.0, 2000)
     Q = Potential.constant(g, 0.0, 1.0)
     hom = fundamental_solution_zero(Q)
-    return build_evaluator(build_coefficients(Q, hom, 20))
+    return build_coefficients(Q, hom, 20)
 
 
 @pytest.fixture(scope="module")
@@ -25,21 +25,21 @@ def trig_ev():
         g, lambda x: np.sin(np.pi * x), lambda x: np.cos(np.pi * x)
     )
     hom = fundamental_solution_zero(Q)
-    return build_evaluator(build_coefficients(Q, hom, 16))
+    return build_coefficients(Q, hom, 16)
 
 
 class TestEvaluateU:
     def test_zero_potential_reduces_to_free(self):
         g = Grid(1.0, 100)
         Q = Potential.zero(g)
-        ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 8))
+        ev = build_coefficients(Q, fundamental_solution_zero(Q), 8)
         for lam in (0.0, 3.0, -17.0, 2.0 + 1.0j):
             U = evaluate_U(ev, lam, g.nodes)
             np.testing.assert_allclose(U, free_solution(lam, g.nodes), atol=1e-13)
 
     def test_lambda_zero_closure(self, trig_ev):
         U = evaluate_U(trig_ev, 0.0, trig_ev.grid.nodes)
-        assert np.max(np.abs(U - trig_ev.coeffs.hom.U)) < 1e-12
+        assert np.max(np.abs(U - trig_ev.hom.U)) < 1e-12
 
     def test_constant_potential_oracle_single(self, const_ev):
         U = evaluate_U(const_ev, 10.0, 1.0)
@@ -90,7 +90,7 @@ class TestEvaluateU:
         hom = fundamental_solution_zero(Q)
         defects = []
         for N in (4, 8, 16):
-            ev = build_evaluator(build_coefficients(Q, hom, N))
+            ev = build_coefficients(Q, hom, N)
             U = evaluate_U(ev, 7.0, 1.0)
             defects.append(abs(np.linalg.det(U) - 1.0))
         assert defects[2] < defects[0]
@@ -112,7 +112,7 @@ class TestEvaluateU:
         lam, nodes = 25.0, trig_ev.grid.nodes
         jn, _ = bessel_pair_batch(lam * nodes, trig_ev.N + 1)
         ref = free_solution(lam, nodes) + np.einsum(
-            "nm,nmij->mij", jn[: trig_ev.N + 1], trig_ev.Ktilde
+            "nm,nmij->mij", jn[: trig_ev.N + 1], trig_ev.folded
         )
         np.testing.assert_array_equal(evaluate_U(trig_ev, lam, nodes), ref)
 
@@ -127,7 +127,7 @@ class TestDerivative:
     def test_zero_potential_closed_form(self):
         g = Grid(1.0, 100)
         Q = Potential.zero(g)
-        ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 8))
+        ev = build_coefficients(Q, fundamental_solution_zero(Q), 8)
         lam, x = 2.5, 0.8
         dU = evaluate_U(ev, lam, x, derivative=True)[1]
         z = lam * x
@@ -160,9 +160,9 @@ class TestDerivative:
         # the one-pass (U, dU) at x = b used by the eigenvalue scan against
         # single-point calls, each with a Bessel pass of its own
         lams = np.array([0.0, 1e-3, -0.4, 2.5, -37.0, 180.0, 3.0 + 1.0j])
-        U, dU = evaluate_U(trig_ev, lams, trig_ev.b, derivative=True)
+        U, dU = evaluate_U(trig_ev, lams, trig_ev.grid.b, derivative=True)
         for k, lam in enumerate(lams):
-            ref_U, ref_dU = evaluate_U(trig_ev, lam, trig_ev.b, derivative=True)
+            ref_U, ref_dU = evaluate_U(trig_ev, lam, trig_ev.grid.b, derivative=True)
             np.testing.assert_allclose(U[k], ref_U, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dU[k], ref_dU, rtol=0, atol=1e-11)
 
@@ -182,7 +182,7 @@ class TestBroadcast:
 
     def test_lambda_array_at_scalar_x(self, trig_ev):
         lams = np.array([0.0, 1e-3, -0.4, 2.5, -37.0, 180.0, 3.0 + 1.0j, 400.0])
-        self.assert_elementwise(trig_ev, lams, trig_ev.b)
+        self.assert_elementwise(trig_ev, lams, trig_ev.grid.b)
         self.assert_elementwise(trig_ev, lams, 0.61237)
 
     def test_scalar_lambda_at_nodes(self, trig_ev):
@@ -206,7 +206,7 @@ class TestSolveIvp:
     def test_free_first_column(self):
         g = Grid(1.0, 500)
         Q = Potential.zero(g)
-        ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 4))
+        ev = build_coefficients(Q, fundamental_solution_zero(Q), 4)
         lam = 6.0
         sol = solve_ivp(ev, lam, (1.0, 0.0))
         np.testing.assert_allclose(sol.Y[:, 0], np.cos(lam * g.nodes), atol=1e-12)
@@ -238,7 +238,7 @@ class TestSolveIvp:
 def complex_ev():
     g = Grid(1.0, 1000)
     Q = Potential.from_functions(g, lambda x: np.sin(3 * x) + 0.5j * x, lambda x: 1 + x)
-    return build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), 12))
+    return build_coefficients(Q, fundamental_solution_zero(Q), 12)
 
 
 class TestRealPath:
@@ -250,14 +250,14 @@ class TestRealPath:
 
     def test_dtypes(self, trig_ev, complex_ev):
         x = trig_ev.grid.nodes
-        assert trig_ev.Ktilde.dtype == np.float64
+        assert trig_ev.folded.dtype == np.float64
         for lam in (4.0, 4.0 + 0j, np.array([[1.0], [-2.0 + 0j]])):
             U, dU = evaluate_U(trig_ev, lam, 0.5, derivative=True)
             assert U.dtype == dU.dtype == np.float64
             assert evaluate_U(trig_ev, lam, x).dtype == np.float64
         assert evaluate_U(trig_ev, 4.0 + 1j, x).dtype == np.complex128
         assert evaluate_U(trig_ev, np.array([1.0, 2.0 + 1j]), 0.5).dtype == np.complex128
-        assert complex_ev.Ktilde.dtype == np.complex128
+        assert complex_ev.folded.dtype == np.complex128
         assert evaluate_U(complex_ev, 4.0, x).dtype == np.complex128
         sol = solve_ivp(trig_ev, 4.0 + 0j, np.array([1.0, 0.5], dtype=complex))
         assert sol.Y.dtype == sol.residual_nodes.dtype == np.float64

@@ -7,10 +7,9 @@ from diracnsbf.gauge import diagonal_to_canonical, rotate_boundary_blocks, rotat
 from diracnsbf.grid import Grid
 from diracnsbf.kernel import build_coefficients
 from diracnsbf import spectral
-from diracnsbf.solution import build_evaluator, evaluate_U
+from diracnsbf.solution import evaluate_U
 from diracnsbf.spectral import (
     BoundaryCondition,
-    ScanOptions,
     ScanResult,
     char_function,
     scan_eigenvalues,
@@ -23,7 +22,7 @@ def make_ev(p_fn, q_fn, M=500, N=12, b=1.0):
     g = Grid(b, M)
     Q = Potential.from_functions(g, p_fn, q_fn)
     hom = fundamental_solution_zero(Q)
-    return build_evaluator(build_coefficients(Q, hom, N))
+    return build_coefficients(Q, hom, N)
 
 
 def refine_root(ev, bc, bracket, max_iter=80):
@@ -37,7 +36,7 @@ def refine_root(ev, bc, bracket, max_iter=80):
         a = b = bracket
         fa = fb = np.nan
     row = spectral._refine_lockstep(
-        ev, bc, [a], [b], [fa], [fb], [np.nan], [np.pi / ev.b], max_iter
+        ev, bc, [a], [b], [fa], [fb], [np.nan], [np.pi / ev.grid.b], max_iter
     )
     return tuple(v[0] for v in row)
 
@@ -50,14 +49,14 @@ def gauge_problem(M, N):
         g, lambda x: -x, lambda x: 1.0 + 0 * x, lambda x: x * (x - 2) / 4
     )
     assert defect < 1e-8
-    ev = build_evaluator(build_coefficients(Q, fundamental_solution_zero(Q), N))
+    ev = build_coefficients(Q, fundamental_solution_zero(Q), N)
     left, right = rotate_boundary_blocks(
         np.array([[1.0, 0.0], [0.0, 0.0]]),
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         0.0,
         -0.25,
     )
-    return ev, BoundaryCondition(left=left, right=right, self_adjoint=True)
+    return ev, BoundaryCondition(left=left, right=right)
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +203,7 @@ class TestScan:
         # root must equal one refinement run on its bracket alone
         bc = BoundaryCondition.dirichlet()
         lo, hi, step = -29.9, 30.0, 0.25  # no grid node on the root 0
-        eigs = scan_eigenvalues(const_ev, bc, lo, hi, ScanOptions(step=step))
+        eigs = scan_eigenvalues(const_ev, bc, lo, hi, step=step)
         grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
         vals = char_function(const_ev, bc, grid)[0].real
         brackets = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
@@ -219,7 +218,7 @@ class TestScan:
     def test_unconverged_bracket_warns_and_is_kept(self, free_ev):
         bc = BoundaryCondition.dirichlet()
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            eigs = scan_eigenvalues(free_ev, bc, -33.0, 33.0, ScanOptions(max_iter=1))
+            eigs = scan_eigenvalues(free_ev, bc, -33.0, 33.0, max_iter=1)
         assert eigs.index.tolist() == list(range(-10, 11))
         assert not np.all(eigs.converged)
 
@@ -254,7 +253,6 @@ class TestScan:
         bc = BoundaryCondition(
             left=np.array([[1.0, 0.0], [0.0, 0.0]]),
             right=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            self_adjoint=True,
         )
         with pytest.raises(ArithmeticError):
             scan_eigenvalues(ev, bc, -5.0, 5.0)

@@ -9,12 +9,11 @@ from diracnsbf.zs import (
     A_INV,
     A_MAT,
     ZsPotential,
-    build_zs_evaluator,
     evaluate_Z,
     zs_to_dirac,
 )
 
-from oracles import zs_const_solution, zs_ode_residual, zs_potential
+from oracles import zs_coefficients, zs_const_solution, zs_ode_residual, zs_potential
 
 
 def zs_series_coefficients(zev):
@@ -24,7 +23,7 @@ def zs_series_coefficients(zev):
     that Z = A^-1 U0 A + sum_n (+-2) (conjugated C_n) j_n(lambda x) with
     the same parity sign pattern as the canonical series.
     """
-    K = zev.inner.coeffs.coeffs.astype(complex)
+    K = zev.coeffs.astype(complex)
     K[1::2] = _b_right(K[1::2])
     return A_INV @ K @ A_MAT
 
@@ -33,7 +32,7 @@ def zs_series_coefficients(zev):
 def smooth_zev():
     g = Grid(1.0, 1000)
     zs = zs_potential(g, lambda x: (0.3 + 0.4j) * np.sin(np.pi * x))
-    return build_zs_evaluator(zs, 16)
+    return zs_coefficients(zs, 16)
 
 
 class TestMapping:
@@ -67,7 +66,7 @@ class TestEvaluateZ:
 
     def test_free_case_plane_waves(self):
         g = Grid(1.0, 200)
-        zev = build_zs_evaluator(ZsPotential(g, np.zeros(g.size)), 4)
+        zev = zs_coefficients(ZsPotential(g, np.zeros(g.size)), 4)
         for lam in (1.0, -3.7):
             Z = evaluate_Z(zev, lam, g.nodes)
             np.testing.assert_allclose(
@@ -81,7 +80,7 @@ class TestEvaluateZ:
 
     def test_constant_nu_against_exponential_oracle(self):
         g = Grid(1.0, 1000)
-        zev = build_zs_evaluator(ZsPotential(g, np.full(g.size, 0.5)), 20)
+        zev = zs_coefficients(ZsPotential(g, np.full(g.size, 0.5)), 20)
         Z = evaluate_Z(zev, 3.0, 1.0)
         ref = zs_const_solution(0.5, 3.0, 1.0)
         assert np.max(np.abs(Z - ref)) < 1e-8
@@ -89,7 +88,7 @@ class TestEvaluateZ:
     def test_conjugation_identity(self, smooth_zev):
         for lam in (0.0, 1.5, -9.0):
             Z = evaluate_Z(smooth_zev, lam, 0.8)
-            U = evaluate_U(smooth_zev.inner, lam, 0.8)
+            U = evaluate_U(smooth_zev, lam, 0.8)
             np.testing.assert_allclose(Z, A_INV @ U @ A_MAT, atol=0)
 
     def test_series_coefficients_reproduce_Z(self, smooth_zev):
@@ -113,7 +112,7 @@ class TestEvaluateZ:
 class TestOdeResidual:
     def test_constant_nu(self):
         g = Grid(1.0, 1000)
-        zev = build_zs_evaluator(ZsPotential(g, np.full(g.size, 0.5)), 16)
+        zev = zs_coefficients(ZsPotential(g, np.full(g.size, 0.5)), 16)
         for lam in (0.7, 3.0):
             assert zs_ode_residual(zev, lam) < 1e-6
 
