@@ -49,7 +49,6 @@ import numpy as np
 from . import __version__, dirac, kernel
 from .csvfmt import format_tables
 from .dirac import (
-    HomogeneousSolution,
     Potential,
     free_solution,
     fundamental_solution_zero,
@@ -90,10 +89,10 @@ _KEYS = {
 
 @functools.cache
 def _source_digest():
-    """SHA-256 of the modules that sample and build, read once per process:
-    an edit to any of them rebuilds instead of serving a stale cache file."""
+    """SHA-256 of the modules that sample and build, this one included, read
+    once per process: an edit to any of them rebuilds, never a stale cache."""
     digest = hashlib.sha256()
-    for name in ("dirac", "kernel", "grid", "exprparse", "gauge", "zs"):
+    for name in ("cli", "dirac", "kernel", "grid", "exprparse", "gauge", "zs"):
         with open(os.path.join(os.path.dirname(__file__), name + ".py"), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
@@ -347,66 +346,66 @@ class Problem:
         return os.path.join(base, ".nsbf_cache", self._cache_token() + ".npz")
 
     def _load_cached(self, path):
-        """Coefficients from a cache file, or None when it cannot be read
-        (or its arrays lack the grid's shape or the potential's dtype, or
-        U is not unimodular).  The file holds K and U only: U^-1 is the
-        adjugate of U, bit for bit as built."""
+        """(coefficients, probes) from a cache file, or None when it cannot
+        be read (or K lacks the grid's shape or the potential's dtype, or
+        the probe table is missing or not (k, 3))."""
         shape = (self.grid.size, 2, 2)
         try:
             with np.load(path) as data:
-                K, U = data["K"], data["U"]
-            if U.shape != shape or K.shape[1:] != shape or len(K) < 2:
+                K, probes = data["K"], data["probes"]
+            if K.shape[1:] != shape or len(K) < 2 or probes.shape[1:] != (3,):
                 raise ValueError("array shapes do not match the grid")
-            if not K.dtype == U.dtype == self.potential.p.dtype:
+            if K.dtype != self.potential.p.dtype:
                 raise ValueError("array dtypes do not match the potential")
-            Uinv = dirac.invert_unimodular(U)
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             print(
                 "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),
                 file=sys.stderr,
             )
             return None
-        hom = HomogeneousSolution(grid=self.grid, U=U, Uinv=Uinv)
-        return KernelCoefficients(potential=self.potential, hom=hom, K=K)
+        return KernelCoefficients(potential=self.potential, K=K), probes
 
-    def _store_cached(self, path, coeffs):
+    def _store_cached(self, path, coeffs, probes):
         """Write the cache file under a temporary name, then move it in place."""
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, K=coeffs.K, U=coeffs.hom.U)
+                np.savez(fh, K=coeffs.K, probes=probes)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
-    def coefficients(self, report_sink=None):
-        """Kernel coefficients, from the on-disk cache when unchanged."""
+    def _build(self):
+        """(coefficients, probes) built afresh; probes holds the (N, sup
+        delta_Q, sup delta_0) rows of auto-truncation, none for a fixed N."""
+        hom = fundamental_solution_zero(self.potential)
+        if self.N != "auto":
+            return build_coefficients(self.potential, hom, self.N), np.empty((0, 3))
+        coeffs, report = auto_truncation(self.potential, hom, self.tol)
+        return coeffs, np.array(report.probes, dtype=float)
+
+    def coefficients(self):
+        """(coefficients, probes), from the on-disk cache when unchanged: a
+        cache hit returns what the build it stores returned."""
         t0 = time.perf_counter()
         path = self._cache_path()
-        if os.path.exists(path):
-            coeffs = self._load_cached(path)
-            if coeffs is not None:
-                print("coefficients: cache hit (%.3fs)" % (time.perf_counter() - t0))
-                return coeffs
-        hom = fundamental_solution_zero(self.potential, dirac._SUBSTEPS)
-        if self.N == "auto":
-            coeffs, report = auto_truncation(self.potential, hom, self.tol)
-            if report_sink is not None:
-                report_sink.append(report)
-            if not report.converged:
-                print(
-                    "warning: auto truncation stopped at N=%d above tol=%g"
-                    % (report.N, self.tol),
-                    file=sys.stderr,
-                )
-        else:
-            coeffs = build_coefficients(self.potential, hom, self.N)
-        self._store_cached(path, coeffs)
-        print("coefficients: built in %.3fs" % (time.perf_counter() - t0))
-        return coeffs
+        cached = self._load_cached(path) if os.path.exists(path) else None
+        coeffs, probes = cached or self._build()
+        if cached is None:
+            self._store_cached(path, coeffs, probes)
+        # the last probe misses tol exactly when auto-truncation did not converge
+        if len(probes) and not probes[-1, 1:].max() <= self.tol:
+            print(
+                "warning: auto truncation stopped at N=%d above tol=%g"
+                % (coeffs.N, self.tol),
+                file=sys.stderr,
+            )
+        dt = time.perf_counter() - t0
+        print("coefficients: " + ("cache hit (%.3fs)" if cached else "built in %.3fs") % dt)
+        return coeffs, probes
 
 
 def _write_csv(path, header, tables):
@@ -419,8 +418,7 @@ def _write_csv(path, header, tables):
 
 
 def cmd_kernel(problem, args):
-    reports = []
-    coeffs = problem.coefficients(report_sink=reports)
+    coeffs, probes = problem.coefficients()
     grid = problem.grid
     path = problem.out + "_coeffs.csv"
 
@@ -433,9 +431,8 @@ def cmd_kernel(problem, args):
 
     _write_csv(path, "n,x,re11,im11,re12,im12,re21,im21,re22,im22", tables())
     print("coefficients written to %s" % path)
-    if reports and reports[0].probes:
-        for N, sup_q, sup_0 in reports[0].probes:
-            print("%d,%.17g,%.17g" % (N, sup_q, sup_0))
+    for N, sup_q, sup_0 in probes:
+        print("%d,%.17g,%.17g" % (N, sup_q, sup_0))
     res = goursat_residuals(coeffs)
     print("%d,%.17g,%.17g" % (coeffs.N, res.sup_Q_outer, res.sup_0_outer))
     return 0
@@ -455,7 +452,7 @@ def _parse_lambdas(text):
 def cmd_solve(problem, args):
     lams = _parse_lambdas(args.lambdas)
     c = _parse_block_vector(args.c)
-    coeffs = problem.coefficients()
+    coeffs, _ = problem.coefficients()
     t0 = time.perf_counter()
     for k, lam in enumerate(lams):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -491,7 +488,7 @@ def cmd_spectrum(problem, args):
         step = _get_float(problem.cfg, "scan_step")
         if step <= 0:
             raise ConfigError("scan_step must be positive")
-    coeffs = problem.coefficients()
+    coeffs, _ = problem.coefficients()
     t0 = time.perf_counter()
     try:
         eigs = scan_eigenvalues(coeffs, problem.bc, lam_min, lam_max, step=step)

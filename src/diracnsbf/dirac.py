@@ -263,22 +263,6 @@ class HomogeneousSolution:
         return float(np.max(np.abs(det - 1.0)))
 
 
-def _mul2(a, b):
-    """Batched 2x2 product a @ b, written out entry by entry.
-
-    Much cheaper than a stacked `@`, which dispatches one tiny matrix
-    product per node; broadcasting over the leading axes as `@` does.
-    """
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
-    return out
-
-
 def _b_left(X):
     """B X for a batch of 2x2 matrices: the rows swapped, the new second negated."""
     out = np.empty_like(X)
@@ -344,10 +328,10 @@ def _compose(Dl, De):
     return Dl + De + (Dl[:, :1] * De[:1] + Dl[:, 1:] * De[1:])
 
 
-def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
+def fundamental_solution_zero(Q, check=True):
     """Fundamental matrix U(0, x) of B Y' + Q Y = 0, U(0, 0) = I.
 
-    Classical fixed-step RK4 on a `substeps`-fold refinement of the grid
+    Classical fixed-step RK4 on a _SUBSTEPS-fold refinement of the grid
     (written as U' = B Q U), down-sampled to the grid nodes.  On this
     linear system every RK4 step is one fixed 2x2 map I + D_k, so all
     M * substeps maps are built in one batched expression, composed per
@@ -365,7 +349,7 @@ def fundamental_solution_zero(Q, substeps=_SUBSTEPS, check=True):
     tolerance; failure signals that the grid is too coarse for the
     potential.
     """
-    grid = Q.grid
+    grid, substeps = Q.grid, _SUBSTEPS
     # p and q at every half step of the refinement
     p, q = Q.values_at(np.linspace(0.0, grid.b, 2 * grid.M * substeps + 1))
     D = _rk4_step_maps(p, q, grid.h / substeps).reshape(2, 2, grid.M, substeps)
@@ -427,14 +411,14 @@ def apply_S(H, hom):
 
 
 def apply_A(grid, Y, Q):
-    """The differential expression B Y' + Q Y, derivative by 6-point FD."""
+    """B Y' + Q Y, Y' by 6-point FD, for vector (n, 2) or matrix (n, 2, 2)
+    samples Y: rows y0 and y1, p and q broadcast over a trailing column axis."""
     dY = differentiate(grid, Y)
-    if Y.ndim == 2:  # vector-valued samples (n, 2)
-        p, q, y0, y1 = Q.p, Q.q, Y[:, 0], Y[:, 1]
-        return np.stack(
-            [dY[:, 1] + (p * y0 + q * y1), -dY[:, 0] + (q * y0 - p * y1)], axis=1
-        )
-    return _b_left(dY) + _mul2(Q.matrices, Y)
+    p, q = (v.reshape(v.shape + (1,) * (Y.ndim - 2)) for v in (Q.p, Q.q))
+    y0, y1 = Y[:, 0], Y[:, 1]
+    return np.stack(
+        [dY[:, 1] + (p * y0 + q * y1), -dY[:, 0] + (q * y0 - p * y1)], axis=1
+    )
 
 
 def dirac_residual_nodes(Y, Q, lam):

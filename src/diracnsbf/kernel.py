@@ -25,7 +25,7 @@ nodes (where a fixed-order rule resolves the least), so the truncation
 choice monitors the outer half of the grid where the series is consumed.
 
 Both builds, build_coefficients and auto_truncation, return one
-KernelCoefficients: the potential, U(0, x) and C_-1..C_N.  Every evaluator
+KernelCoefficients: the potential and C_-1..C_N.  Every evaluator
 (evaluate_U, solve_ivp, char_function, scan_eigenvalues, evaluate_Z,
 kernel_eval) takes that object as it is; the folded series coefficients
 are made from it on the first evaluation and kept with it.
@@ -74,11 +74,10 @@ class KernelCoefficients:
 
     K is indexed with an offset of one: row k holds order n = k - 1.  The
     grid, the order N and the folded coefficients of the Bessel series
-    derive from the three fields.
+    derive from the two fields.
     """
 
     potential: object
-    hom: object
     K: np.ndarray
 
     @property
@@ -184,7 +183,7 @@ def build_coefficients(Q, hom, N):
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")
-    return _finalize(Q, hom, _recurse(Q, hom, N))
+    return _finalize(Q, _recurse(Q, hom, N))
 
 
 def _recurse(Q, hom, N, K=None):
@@ -250,13 +249,13 @@ def _recursion_step(K, n, x, xpow, hom):
     return xn
 
 
-def _finalize(Q, hom, K):
+def _finalize(Q, K):
     # orders 1..N: the guard, and the exact limit C_n(0) = 0 at x = 0
     guard, i0, w = _guard_weights(Q.grid)
     Kg = K.copy()
     Kg[2:, 0] = 0.0
     Kg[2:, guard] = np.einsum("gj,njab->ngab", w, K[2:, i0 : i0 + 4])
-    return KernelCoefficients(potential=Q, hom=hom, K=Kg)
+    return KernelCoefficients(potential=Q, K=Kg)
 
 
 def kernel_eval(coeffs, x, t):
@@ -364,9 +363,9 @@ def auto_truncation(Q, hom, tol, N_max=128):
         report_probes.append((Np, float(sup_Q), float(sup_0)))
         if level[Np] <= tol:
             n_best = next(n for n, v in enumerate(level) if v <= tol)
-            return _finalize(Q, hom, K[: n_best + 2]), TruncationReport(
+            return _finalize(Q, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
-    return _finalize(Q, hom, K), TruncationReport(
+    return _finalize(Q, K), TruncationReport(
         converged=False, N=Np, tol=tol, probes=report_probes
     )

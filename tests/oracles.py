@@ -259,16 +259,29 @@ def theta_n(coeffs, n):
 
 # ---------------------------------------------------------------------------
 # The coefficient build on stacked (n, 2, 2) arrays: B as a signed row or
-# column permutation (a copy), every 2x2 product through dirac._mul2.  The
+# column permutation (a copy), every 2x2 product through _mul2.  The
 # library writes the same formulas entry by entry on contiguous vectors and
 # must reproduce these bit for bit, for real and complex potentials alike.
 # ---------------------------------------------------------------------------
 
 
+def _mul2(a, b):
+    """Batched 2x2 product a @ b, written out entry by entry, broadcasting
+    over the leading axes as `@` does."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
 def stacked_step_maps(Q, substeps):
     """RK4 step maps D_k as one (steps, 2, 2) array, from the (2 steps + 1,
     2, 2) samples of A = B Q."""
-    from diracnsbf.dirac import I2, _mul2
+    from diracnsbf.dirac import I2
 
     grid = Q.grid
     n_fine = 2 * grid.M * substeps
@@ -291,7 +304,7 @@ def stacked_step_maps(Q, substeps):
 def stacked_propagator(Q, substeps=10):
     """(U, Uinv) of U(0, x): the stacked step maps, composed per cell and
     by the doubling scan with stacked products."""
-    from diracnsbf.dirac import I2, _mul2, invert_unimodular
+    from diracnsbf.dirac import I2, invert_unimodular
 
     def compose(Dl, De):
         return Dl + De + _mul2(Dl, De)
@@ -313,7 +326,7 @@ def stacked_propagator(Q, substeps=10):
 
 def stacked_apply_S(H, hom):
     """S[H] = U int_0^x U^{-1} (-B H), with stacked products."""
-    from diracnsbf.dirac import _b_left, _mul2
+    from diracnsbf.dirac import _b_left
     from diracnsbf.grid import indefinite_integral
 
     integrand = _mul2(hom.Uinv, -_b_left(H))
@@ -408,13 +421,13 @@ def per_probe_auto_truncation(Q, hom, tol, N_max=128):
     report_probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
-        coeffs = _finalize(Q, hom, K)
+        coeffs = _finalize(Q, K)
         sup_Q, sup_0 = per_probe_residual_profile(coeffs)
         report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
         level = np.maximum(sup_Q, sup_0)
         if level[Np] <= tol:
             n_best = int(np.argmax(level <= tol))
-            return _finalize(Q, hom, K[: n_best + 2]), TruncationReport(
+            return _finalize(Q, K[: n_best + 2]), TruncationReport(
                 converged=True, N=n_best, tol=tol, probes=report_probes
             )
     return coeffs, TruncationReport(

@@ -2,6 +2,7 @@ import functools
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 import diracnsbf
 from diracnsbf import cli
 from diracnsbf.cli import main
+from diracnsbf.dirac import fundamental_solution_zero
 
 
 def write_config(tmp_path, text, name="problem.cfg"):
@@ -377,20 +379,39 @@ class TestCoefficientCache:
         # a complex cache file for a real potential (as written before real
         # potentials were built in float64) is stale, not served
         def edit(arrays):
-            # nothing derivable is stored: N is len(K) - 2, U^-1 the adjugate
-            assert sorted(arrays) == ["K", "U"]
-            for key in ("K", "U"):
-                assert arrays[key].dtype == np.float64
-                arrays[key] = arrays[key].astype(complex)
+            # nothing derivable is stored: N is len(K) - 2, U(0, x) is rebuilt
+            assert sorted(arrays) == ["K", "probes"]
+            assert arrays["K"].dtype == np.float64
+            arrays["K"] = arrays["K"].astype(complex)
 
         self.rebuilt_after_edit(tmp_path, capsys, edit, "dtypes do not match the potential")
 
-    def test_cache_with_drifting_determinant_is_rebuilt(self, tmp_path, capsys):
-        # U^-1 is derived as the adjugate of U, the inverse only if det U = 1
+    def test_cache_without_probe_table_is_rebuilt(self, tmp_path, capsys):
+        # a hit returns the probe table with the coefficients; a file
+        # without one cannot stand in for a build
         def edit(arrays):
-            arrays["U"][-1] *= 1.01
+            del arrays["probes"]
 
-        self.rebuilt_after_edit(tmp_path, capsys, edit, "not unimodular")
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "probes")
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-30"])
+    def test_kernel_output_is_the_same_warm_or_cold(self, tmp_path, capsys, tol):
+        # the probe lines and the unconverged warning (tol = 1e-30 stops at
+        # N = 128) come from what the cache returns, not from a fresh build
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0.3\nq_expr = 1\nM = 200\nN = auto\ntol = %s\nout = %s\n"
+            % (tol, tmp_path / "w"),
+        )
+        code, cold, cold_err = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        code, warm, warm_err = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        assert "built in" in cold.splitlines()[0]
+        assert "cache hit" in warm.splitlines()[0]
+        assert warm.splitlines()[1:] == cold.splitlines()[1:]
+        assert warm_err == cold_err
+        assert ("warning: auto truncation stopped at N=128" in cold_err) == (tol == "1e-30")
 
     def test_cache_token_tracks_build_constants(self, monkeypatch):
         from diracnsbf import cli, dirac, kernel
@@ -411,6 +432,18 @@ class TestCoefficientCache:
                 assert problem._cache_token() != base, name
         assert problem._cache_token() == base
 
+    def test_source_digest_tracks_cli(self, tmp_path, monkeypatch):
+        # cli samples the config's potential, so an edit to it must rebuild
+        package = os.path.dirname(cli.__file__)
+        for name in os.listdir(package):
+            if name.endswith(".py"):
+                shutil.copy(os.path.join(package, name), tmp_path / name)
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+        before = cli._source_digest.__wrapped__()
+        with open(tmp_path / "cli.py", "a") as fh:
+            fh.write("# an edit\n")
+        assert cli._source_digest.__wrapped__() != before
+
 
 class TestBuildDtype:
     """The coefficient build takes its dtype from the potential's samples."""
@@ -428,12 +461,13 @@ class TestBuildDtype:
     )
     def test_dtype_follows_the_samples(self, tmp_path, cfg, dtype):
         problem = cli.Problem(dict(cfg, M="100", N="6", out=str(tmp_path / "c")))
-        coeffs = problem.coefficients()
+        coeffs, _ = problem.coefficients()
+        hom = fundamental_solution_zero(problem.potential)
         assert problem.potential.p.dtype == dtype
-        for a in (coeffs.K, coeffs.hom.U, coeffs.hom.Uinv):
+        for a in (coeffs.K, hom.U, hom.Uinv):
             assert a.dtype == dtype
         # served from the cache with the same dtype
-        assert cli.Problem(problem.cfg).coefficients().K.dtype == dtype
+        assert cli.Problem(problem.cfg).coefficients()[0].K.dtype == dtype
 
 
 FREE_DIRICHLET = (
@@ -561,7 +595,7 @@ class TestCsvOutput:
         code, _, _ = run(["kernel", "--config", cfg], capsys)
         assert code == 0
         problem = cli.Problem(cli.load_config(cfg))
-        coeffs = problem.coefficients()
+        coeffs, _ = problem.coefficients()
         size = problem.grid.size
         data = self.read_values(tmp_path / "k_coeffs.csv")
         orders = range(-1, coeffs.N + 1)
@@ -590,7 +624,7 @@ class TestCsvOutput:
             code, _, _ = run(["solve", "--config", cfg, "--lambdas=-7.25,3+1i"], capsys)
             assert code == 0
             problem = cli.Problem(cli.load_config(cfg))
-            ev = problem.coefficients()
+            ev, _ = problem.coefficients()
             for k, lam in enumerate([-7.25, 3 + 1j]):
                 sol = solve_ivp(ev, complex(lam), [1, 0])
                 # the file holds the all-complex evaluation, imaginary parts

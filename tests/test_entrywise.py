@@ -90,7 +90,7 @@ def test_apply_S_node_major_input(problem):
 def test_coefficients_and_residuals(problem):
     Q, hom = problem
     fam = build_coefficients(Q, hom, N)
-    ref = kernel._finalize(Q, hom, oracles.stacked_recurse(Q, hom, N))
+    ref = kernel._finalize(Q, oracles.stacked_recurse(Q, hom, N))
     assert_same_bits(fam.K, ref.K)
     res, res_ref = goursat_residuals(fam), goursat_residuals(ref)
     for name in ("sup_Q", "sup_0", "sup_Q_outer", "sup_0_outer"):

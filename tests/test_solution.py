@@ -39,7 +39,8 @@ class TestEvaluateU:
 
     def test_lambda_zero_closure(self, trig_ev):
         U = evaluate_U(trig_ev, 0.0, trig_ev.grid.nodes)
-        assert np.max(np.abs(U - trig_ev.hom.U)) < 1e-12
+        U0 = fundamental_solution_zero(trig_ev.potential).U
+        assert np.max(np.abs(U - U0)) < 1e-12
 
     def test_constant_potential_oracle_single(self, const_ev):
         U = evaluate_U(const_ev, 10.0, 1.0)
