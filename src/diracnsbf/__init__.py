@@ -16,7 +16,6 @@ from .dirac import (
     apply_S,
     free_solution,
     fundamental_solution_zero,
-    invert_unimodular,
 )
 from .exprparse import ParseError, evaluate, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks, rotation
@@ -25,7 +24,6 @@ from .kernel import (
     DEFAULT_TRUNCATION,
     GoursatResiduals,
     KernelCoefficients,
-    TruncationReport,
     auto_truncation,
     build_coefficients,
     goursat_residuals,

@@ -50,9 +50,9 @@ from . import __version__, dirac, kernel
 from .csvfmt import format_tables
 from .dirac import (
     Potential,
+    dirac_residual_nodes,
     free_solution,
     fundamental_solution_zero,
-    homogeneous_residual,
 )
 from .exprparse import ParseError, evaluate, evaluate_on_grid, parse
 from .gauge import diagonal_to_canonical, rotate_boundary_blocks
@@ -89,12 +89,13 @@ _KEYS = {
 
 @functools.cache
 def _source_digest():
-    """SHA-256 of the modules that sample and build, this one included, read
-    once per process: an edit to any of them rebuilds, never a stale cache."""
+    """SHA-256 of every module of the package, by name and source in sorted
+    order, read once per process: a code change rebuilds, never stale cache."""
     digest = hashlib.sha256()
-    for name in ("cli", "dirac", "kernel", "grid", "exprparse", "gauge", "zs"):
-        with open(os.path.join(os.path.dirname(__file__), name + ".py"), "rb") as fh:
-            digest.update(fh.read())
+    package = os.path.dirname(__file__)
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
     return digest.hexdigest()
 
 
@@ -384,8 +385,7 @@ class Problem:
         hom = fundamental_solution_zero(self.potential)
         if self.N != "auto":
             return build_coefficients(self.potential, hom, self.N), np.empty((0, 3))
-        coeffs, report = auto_truncation(self.potential, hom, self.tol)
-        return coeffs, np.array(report.probes, dtype=float)
+        return auto_truncation(self.potential, hom, self.tol)
 
     def coefficients(self):
         """(coefficients, probes), from the on-disk cache when unchanged: a
@@ -399,8 +399,8 @@ class Problem:
         # the last probe misses tol exactly when auto-truncation did not converge
         if len(probes) and not probes[-1, 1:].max() <= self.tol:
             print(
-                "warning: auto truncation stopped at N=%d above tol=%g"
-                % (coeffs.N, self.tol),
+                "warning: auto truncation missed tol=%g; using N=%d, the order "
+                "with the smallest residual" % (self.tol, coeffs.N),
                 file=sys.stderr,
             )
         dt = time.perf_counter() - t0
@@ -537,11 +537,11 @@ def _run_checks(problem):
     try:
         # unchecked, so that the two checks below judge their own values
         hom = fundamental_solution_zero(Q, check=False)
-        record("fundamental_det_one", hom.det_defect, 1e-10)
+        record("fundamental_det_one", hom.det_defect, dirac.DET_TOL)
         record(
             "fundamental_ode_residual",
-            homogeneous_residual(hom, Q),
-            1e-8 * (1.0 + Q.sup_norm * grid.b),
+            np.max(dirac_residual_nodes(hom.U, Q, 0.0)[1:-1]),
+            dirac.ode_residual_tol(Q),
         )
     except Exception as exc:  # checks must report, not crash
         checks.append(

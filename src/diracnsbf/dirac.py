@@ -8,10 +8,11 @@ p, q complex-valued.  A potential whose p and q have exactly zero
 imaginary parts is sampled in float64, and B Q, U(0, x) and S follow the
 dtype of the samples; a nonzero imaginary part anywhere keeps them
 complex.  This module holds the potential, the free solution
-(Q = 0), the fundamental matrix U(0, x) of the homogeneous system with its
-inverse obtained from unimodularity, the variation-of-parameters operator
-S that solves B Y' + Q Y = H with Y(0) = 0, and finite-difference residual
-diagnostics used throughout the test surface.
+(Q = 0), the fundamental matrix U(0, x) of the homogeneous system, whose
+inverse is its adjugate because det U(0, x) = 1, the
+variation-of-parameters operator S that solves B Y' + Q Y = H with
+Y(0) = 0, and finite-difference residual diagnostics used throughout the
+test surface.
 
 The RK4 step maps, their composition and S are written entry by entry on
 contiguous vectors, one per matrix entry: B acts only through the sign
@@ -40,7 +41,6 @@ __all__ = [
     "HomogeneousSolution",
     "free_solution",
     "fundamental_solution_zero",
-    "invert_unimodular",
     "apply_S",
     "apply_A",
     "dirac_residual_nodes",
@@ -52,6 +52,10 @@ I2 = np.eye(2)
 
 # RK4 refinement of each grid cell used by fundamental_solution_zero.
 _SUBSTEPS = 10
+
+# Bounds of the drift of det U(0, x) from 1: checked, and unchecked, where
+# the adjugate would stop being U^-1 (the ODE residual: ode_residual_tol).
+DET_TOL, DET_TOL_UNCHECKED = 1e-10, 1e-6
 
 
 class ResidualError(RuntimeError):
@@ -223,44 +227,39 @@ def free_solution_dlambda(lam, x):
     return out
 
 
-def invert_unimodular(a, tol=1e-6):
-    """Inverse of (a batch of) 2x2 matrices with det = 1, by adjugate.
+def _det2(m):
+    """det of (a batch of) 2x2 matrices."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
-    [[a, b], [c, d]] -> [[d, -b], [-c, a]]; a determinant drifting beyond
-    tol from 1 is rejected since the adjugate would silently stop being
-    the inverse.
-    """
-    a = np.asarray(a)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if not np.max(np.abs(det - 1.0)) <= tol:
-        raise ValueError("matrix is not unimodular within tolerance")
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    out[..., 1, 1] = a[..., 0, 0]
-    return out
+
+def ode_residual_tol(Q):
+    """Bound of the propagator's ODE residual on the potential Q."""
+    return 1e-8 * (1.0 + Q.sup_norm * Q.grid.b)
 
 
 @dataclass(frozen=True)
 class HomogeneousSolution:
-    """U(0, x) with U(0, 0) = I, plus its adjugate inverse, per node."""
+    """U(0, x) with U(0, 0) = I, per node, (M + 1, 2, 2)."""
 
     grid: Grid
     U: np.ndarray
-    Uinv: np.ndarray
 
     @cached_property
     def entries(self):
-        """U and Uinv entry-major, (2, 2, M + 1), made once for every apply_S."""
-        return tuple(
-            np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (self.U, self.Uinv)
-        )
+        """U and U^-1 entry-major, (2, 2, M + 1), made once for every apply_S;
+        det U = 1, so U^-1 is the adjugate, copies and negations of U."""
+        U = np.ascontiguousarray(self.U.transpose(1, 2, 0))
+        Uinv = np.empty_like(U)
+        Uinv[0, 0] = U[1, 1]
+        Uinv[0, 1] = -U[0, 1]
+        Uinv[1, 0] = -U[1, 0]
+        Uinv[1, 1] = U[0, 0]
+        return U, Uinv
 
-    @property
+    @cached_property
     def det_defect(self):
-        det = self.U[:, 0, 0] * self.U[:, 1, 1] - self.U[:, 0, 1] * self.U[:, 1, 0]
-        return float(np.max(np.abs(det - 1.0)))
+        """max |det U(0, x) - 1| over the nodes."""
+        return float(np.max(np.abs(_det2(self.U) - 1.0)))
 
 
 def _b_left(X):
@@ -342,12 +341,13 @@ def fundamental_solution_zero(Q, check=True):
     rounding is relative to D rather than to 1.  A product of I + D
     matrices formed per step would carry the same O(eps) rounding of the
     identity into every step, which on a constant potential drifts
-    instead of averaging out.  The inverse comes from the adjugate since
-    det U(0, x) = 1 identically (the coefficient matrix B Q is
-    trace-free).  With check=True the unimodularity defect and the
-    finite-difference ODE residual are verified against a scale-aware
-    tolerance; failure signals that the grid is too coarse for the
-    potential.
+    instead of averaging out.  det U(0, x) = 1 identically (the
+    coefficient matrix B Q is trace-free), so the inverse apply_S takes is
+    the adjugate.  A determinant drift above DET_TOL_UNCHECKED always
+    raises ResidualError, NaN included; with check=True the drift must stay
+    within DET_TOL and the finite-difference ODE residual within
+    ode_residual_tol(Q).  Failure signals that the grid is too coarse for
+    the potential.
     """
     grid, substeps = Q.grid, _SUBSTEPS
     # p and q at every half step of the refinement
@@ -364,32 +364,20 @@ def fundamental_solution_zero(Q, check=True):
     U = np.empty((grid.size, 2, 2), dtype=cells.dtype)
     U[0] = I2
     U[1:] = cells.transpose(2, 0, 1) + I2
+    hom = HomogeneousSolution(grid=grid, U=U)
+    if not hom.det_defect <= (DET_TOL if check else DET_TOL_UNCHECKED):
+        raise ResidualError(
+            "det of the propagator U(0, x) drifts from 1 by %.3e; refine the grid"
+            % hom.det_defect
+        )
     if check:
-        det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]
-        defect = float(np.max(np.abs(det - 1.0)))
-        if not defect <= 1e-10:
-            raise ResidualError(
-                "det of the propagator U(0, x) drifts from 1 by %.3e; refine the grid"
-                % defect
-            )
-    try:
-        Uinv = invert_unimodular(U)
-    except ValueError as exc:
-        raise ResidualError("propagator U(0, x): %s; refine the grid" % exc) from exc
-    hom = HomogeneousSolution(grid=grid, U=U, Uinv=Uinv)
-    if check:
-        tol = 1e-8 * (1.0 + Q.sup_norm * grid.b)
-        resid = homogeneous_residual(hom, Q)
+        tol = ode_residual_tol(Q)
+        resid = float(np.max(dirac_residual_nodes(U, Q, 0.0)[1:-1]))
         if resid > tol:
             raise ResidualError(
                 "ODE residual %.3e exceeds %.3e; refine the grid" % (resid, tol)
             )
     return hom
-
-
-def homogeneous_residual(hom, Q):
-    """max interior-node norm of B U' + Q U for the computed U(0, x)."""
-    return float(np.max(matrix_norm(apply_A(hom.grid, hom.U, Q)[1:-1])))
 
 
 def apply_S(H, hom):

@@ -24,14 +24,14 @@ to the quadrature floor as N grows; the floor itself sits at the first
 nodes (where a fixed-order rule resolves the least), so the truncation
 choice monitors the outer half of the grid where the series is consumed.
 
-Both builds, build_coefficients and auto_truncation, return one
-KernelCoefficients: the potential and C_-1..C_N.  Every evaluator
-(evaluate_U, solve_ivp, char_function, scan_eigenvalues, evaluate_Z,
-kernel_eval) takes that object as it is; the folded series coefficients
-are made from it on the first evaluation and kept with it.
+Both builds, build_coefficients and auto_truncation (with its probe
+table), return one KernelCoefficients: the potential and C_-1..C_N.  Every
+evaluator (evaluate_U, solve_ivp, char_function, scan_eigenvalues,
+evaluate_Z, kernel_eval) takes that object as it is; the folded series
+coefficients are made from it on the first evaluation and kept with it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ from .special import legendre_seq
 __all__ = [
     "KernelCoefficients",
     "GoursatResiduals",
-    "TruncationReport",
     "build_coefficients",
     "kernel_eval",
     "goursat_residuals",
@@ -129,16 +128,6 @@ class GoursatResiduals:
     sup_0: float
     sup_Q_outer: float
     sup_0_outer: float
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """What auto-truncation looked at and whether it met the tolerance."""
-
-    converged: bool
-    N: int
-    tol: float
-    probes: list = field(default_factory=list)  # (N_probe, sup_Q, sup_0)
 
 
 def _guard_weights(grid):
@@ -337,13 +326,17 @@ def auto_truncation(Q, hom, tol, N_max=128):
     Residuals are evaluated along a geometric probe schedule: each probe
     continues the unguarded recursion and adds its new orders, one by one,
     to the running Goursat sums of goursat_residuals, taking each order's
-    sups once.  The guard writes no outer node, so a probe's tuple equals
+    sups once.  The guard writes no outer node, so a probe's row equals
     the outer sups goursat_residuals gives at that order bit for bit.
     Once a probe passes, the per-order sups locate the smallest
-    sufficient order exactly; only that family is finalized, and it equals
-    build_coefficients at that order bit for bit, whatever the schedule.
-    Returns (coefficients, report); report.converged is False when even
-    N_max misses the tolerance.
+    sufficient order exactly.  When even N_max misses tol, the order
+    chosen is the first with the smallest max(sup delta_Q, sup delta_0).
+    Only the chosen family is finalized, and it equals build_coefficients
+    at that order bit for bit, whatever the schedule.
+
+    Returns (coefficients, probes): probes is the float (k, 3) table of
+    (N_probe, sup delta_Q, sup delta_0), one row per probe, and the run
+    converged exactly when probes[-1, 1:].max() <= tol.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -353,19 +346,17 @@ def auto_truncation(Q, hom, tol, N_max=128):
     total, alt = np.zeros_like(Qm), np.zeros_like(Qm)
     level = []  # max(sup delta_Q, sup delta_0) of orders 0, 1, ...
     K = None
-    report_probes = []
+    probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
         for n in range(len(level), Np + 1):
             dQ, d0 = _goursat_deltas(Qm, inv_x, K[n + 1 : n + 2, outer], n, total, alt)
             sup_Q, sup_0 = np.max(dQ), np.max(d0)
             level.append(max(sup_Q, sup_0))
-        report_probes.append((Np, float(sup_Q), float(sup_0)))
+        probes.append((Np, sup_Q, sup_0))
         if level[Np] <= tol:
             n_best = next(n for n, v in enumerate(level) if v <= tol)
-            return _finalize(Q, K[: n_best + 2]), TruncationReport(
-                converged=True, N=n_best, tol=tol, probes=report_probes
-            )
-    return _finalize(Q, K), TruncationReport(
-        converged=False, N=Np, tol=tol, probes=report_probes
-    )
+            break
+    else:
+        n_best = int(np.argmin(level))
+    return _finalize(Q, K[: n_best + 2]), np.array(probes, dtype=float)

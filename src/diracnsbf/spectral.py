@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import _real_if_real
+from .dirac import _det2, _real_if_real
 from .solution import evaluate_U
 
 __all__ = [
@@ -87,10 +87,6 @@ _REFINE_RTOL = 1e-13
 _MINIMUM_RATIO = 1e-3
 # Roots closer than this fraction of the scan step are one root.
 _DEDUPE_FRACTION = 0.25
-
-
-def _det2(m):
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def char_function(coeffs, bc, lams, derivative=True):

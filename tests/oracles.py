@@ -8,8 +8,9 @@ transmutation kernel is integrated directly along characteristics of its
 defining hyperbolic system.  theta_n gives the x^n-weighted variables
 the kernel recursion is stated in.  The stacked forms at the end are the
 exception: they are the coefficient build as it was written on stacked
-(n, 2, 2) arrays, and the automatic truncation as it was written per
-probe, which the library must equal bit for bit.
+(n, 2, 2) arrays, with the adjugate inverse invert_unimodular, and the
+automatic truncation as it was written per probe, which the library must
+equal bit for bit.
 """
 
 import mpmath as mp
@@ -301,10 +302,29 @@ def stacked_step_maps(Q, substeps):
     return D
 
 
+def invert_unimodular(a, tol=1e-6):
+    """Inverse of (a batch of) 2x2 matrices with det = 1, by adjugate.
+
+    [[a, b], [c, d]] -> [[d, -b], [-c, a]]; a determinant drifting beyond
+    tol from 1 is rejected since the adjugate would silently stop being
+    the inverse.
+    """
+    a = np.asarray(a)
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if not np.max(np.abs(det - 1.0)) <= tol:
+        raise ValueError("matrix is not unimodular within tolerance")
+    out = np.empty_like(a)
+    out[..., 0, 0] = a[..., 1, 1]
+    out[..., 0, 1] = -a[..., 0, 1]
+    out[..., 1, 0] = -a[..., 1, 0]
+    out[..., 1, 1] = a[..., 0, 0]
+    return out
+
+
 def stacked_propagator(Q, substeps=10):
     """(U, Uinv) of U(0, x): the stacked step maps, composed per cell and
-    by the doubling scan with stacked products."""
-    from diracnsbf.dirac import I2, invert_unimodular
+    by the doubling scan with stacked products, and the adjugate inverse."""
+    from diracnsbf.dirac import I2
 
     def compose(Dl, De):
         return Dl + De + _mul2(Dl, De)
@@ -329,7 +349,7 @@ def stacked_apply_S(H, hom):
     from diracnsbf.dirac import _b_left
     from diracnsbf.grid import indefinite_integral
 
-    integrand = _mul2(hom.Uinv, -_b_left(H))
+    integrand = _mul2(invert_unimodular(hom.U), -_b_left(H))
     return _mul2(hom.U, indefinite_integral(hom.grid, integrand))
 
 
@@ -413,23 +433,22 @@ def per_probe_residual_profile(coeffs):
 
 
 def per_probe_auto_truncation(Q, hom, tol, N_max=128):
-    """(coefficients, report) of kernel.auto_truncation, each probe
-    finalized and profiled from order 0."""
-    from diracnsbf.kernel import TruncationReport, _finalize, _probe_schedule, _recurse
+    """(coefficients, probes) of kernel.auto_truncation, each probe
+    finalized and profiled from order 0; a run that misses tol keeps the
+    first order with the smallest residual."""
+    from diracnsbf.kernel import _finalize, _probe_schedule, _recurse
 
     K = None
-    report_probes = []
+    probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
         coeffs = _finalize(Q, K)
         sup_Q, sup_0 = per_probe_residual_profile(coeffs)
-        report_probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
+        probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
         level = np.maximum(sup_Q, sup_0)
         if level[Np] <= tol:
             n_best = int(np.argmax(level <= tol))
-            return _finalize(Q, K[: n_best + 2]), TruncationReport(
-                converged=True, N=n_best, tol=tol, probes=report_probes
-            )
-    return coeffs, TruncationReport(
-        converged=False, N=coeffs.N, tol=tol, probes=report_probes
-    )
+            break
+    else:
+        n_best = int(np.argmin(level))
+    return _finalize(Q, K[: n_best + 2]), np.array(probes, dtype=float)

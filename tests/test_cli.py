@@ -396,8 +396,9 @@ class TestCoefficientCache:
 
     @pytest.mark.parametrize("tol", ["1e-8", "1e-30"])
     def test_kernel_output_is_the_same_warm_or_cold(self, tmp_path, capsys, tol):
-        # the probe lines and the unconverged warning (tol = 1e-30 stops at
-        # N = 128) come from what the cache returns, not from a fresh build
+        # the probe lines and the unconverged warning (tol = 1e-30 walks to
+        # N = 128 and keeps N = 19) come from what the cache returns, not
+        # from a fresh build
         cfg = write_config(
             tmp_path,
             "p_expr = 0.3\nq_expr = 1\nM = 200\nN = auto\ntol = %s\nout = %s\n"
@@ -411,7 +412,11 @@ class TestCoefficientCache:
         assert "cache hit" in warm.splitlines()[0]
         assert warm.splitlines()[1:] == cold.splitlines()[1:]
         assert warm_err == cold_err
-        assert ("warning: auto truncation stopped at N=128" in cold_err) == (tol == "1e-30")
+        warning = (
+            "warning: auto truncation missed tol=1e-30; using N=19, "
+            "the order with the smallest residual"
+        )
+        assert (warning in cold_err) == (tol == "1e-30")
 
     def test_cache_token_tracks_build_constants(self, monkeypatch):
         from diracnsbf import cli, dirac, kernel
@@ -432,17 +437,33 @@ class TestCoefficientCache:
                 assert problem._cache_token() != base, name
         assert problem._cache_token() == base
 
-    def test_source_digest_tracks_cli(self, tmp_path, monkeypatch):
-        # cli samples the config's potential, so an edit to it must rebuild
+    @staticmethod
+    def digest_changes(tmp_path, monkeypatch, edit):
+        """Whether the source digest of a copy of the package changes when
+        edit(copy directory) runs."""
         package = os.path.dirname(cli.__file__)
         for name in os.listdir(package):
             if name.endswith(".py"):
                 shutil.copy(os.path.join(package, name), tmp_path / name)
         monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
         before = cli._source_digest.__wrapped__()
-        with open(tmp_path / "cli.py", "a") as fh:
-            fh.write("# an edit\n")
-        assert cli._source_digest.__wrapped__() != before
+        edit(tmp_path)
+        return cli._source_digest.__wrapped__() != before
+
+    def test_source_digest_tracks_cli(self, tmp_path, monkeypatch):
+        # cli samples the config's potential, so an edit to it must rebuild
+        def edit(copy):
+            with open(copy / "cli.py", "a") as fh:
+                fh.write("# an edit\n")
+
+        assert self.digest_changes(tmp_path, monkeypatch, edit)
+
+    def test_source_digest_tracks_new_modules(self, tmp_path, monkeypatch):
+        # every module of the package counts, also one added to it
+        def edit(copy):
+            (copy / "extra.py").write_text("X = 1\n")
+
+        assert self.digest_changes(tmp_path, monkeypatch, edit)
 
 
 class TestBuildDtype:
@@ -464,7 +485,7 @@ class TestBuildDtype:
         coeffs, _ = problem.coefficients()
         hom = fundamental_solution_zero(problem.potential)
         assert problem.potential.p.dtype == dtype
-        for a in (coeffs.K, hom.U, hom.Uinv):
+        for a in (coeffs.K, hom.U, hom.entries[1]):
             assert a.dtype == dtype
         # served from the cache with the same dtype
         assert cli.Problem(problem.cfg).coefficients()[0].K.dtype == dtype

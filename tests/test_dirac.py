@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracnsbf.dirac import (
+    HomogeneousSolution,
     Potential,
     ResidualError,
     apply_A,
@@ -10,7 +11,6 @@ from diracnsbf.dirac import (
     free_solution,
     free_solution_dlambda,
     fundamental_solution_zero,
-    invert_unimodular,
     matrix_norm,
 )
 from diracnsbf.grid import Grid, GridMismatchError, differentiate
@@ -68,9 +68,37 @@ class TestFreeSolution:
         np.testing.assert_allclose(U[:, 0, 0], np.cos(2 * x), atol=1e-15)
 
 
+def adjugate(m):
+    """The inverse HomogeneousSolution.entries makes of the 2x2 matrix m,
+    held at every node of a grid."""
+    g = Grid(1.0, 10)
+    hom = HomogeneousSolution(grid=g, U=np.broadcast_to(m, (g.size, 2, 2)).copy())
+    return hom.entries[1][..., 0]
+
+
+def poison_one_step_map(monkeypatch, drift=np.nan):
+    """Add drift to entry 00 of one RK4 step map of every propagator built
+    afterwards, so that det U(0, x) drifts from 1 by about |drift|."""
+    from diracnsbf import dirac
+
+    step_maps = dirac._rk4_step_maps
+
+    def poisoned(p, q, h):
+        D = step_maps(p, q, h)
+        if np.iscomplexobj(drift):
+            D = D.astype(complex)
+        D[0, 0, D.shape[-1] // 2] += drift
+        return D
+
+    monkeypatch.setattr(dirac, "_rk4_step_maps", poisoned)
+
+
 class TestInvertUnimodular:
+    """U(0, x) is inverted by its adjugate, which fundamental_solution_zero
+    guards even unchecked: a determinant drift above 1e-6 raises."""
+
     def test_identity(self):
-        np.testing.assert_allclose(invert_unimodular(np.eye(2)), np.eye(2), atol=0)
+        np.testing.assert_array_equal(adjugate(np.eye(2)), np.eye(2))
 
     def test_adjugate_formula(self):
         rng = np.random.default_rng(5)
@@ -79,24 +107,32 @@ class TestInvertUnimodular:
             a += 1.5  # keep away from 0
             d = (1.0 + b * c) / a
             m = np.array([[a, b], [c, d]])
-            inv = invert_unimodular(m)
-            np.testing.assert_allclose(inv, [[d, -b], [-c, a]], atol=0)
+            inv = adjugate(m)
+            np.testing.assert_array_equal(inv, [[d, -b], [-c, a]])
             np.testing.assert_allclose(m @ inv, np.eye(2), atol=1e-13)
 
     def test_rotation_gives_transpose(self):
         th = 0.77
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        np.testing.assert_allclose(invert_unimodular(r), r.T, atol=1e-15)
+        np.testing.assert_allclose(adjugate(r), r.T, atol=1e-15)
 
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            invert_unimodular(2.0 * np.eye(2))
+    def test_rejects_non_unimodular(self, monkeypatch):
+        # a drift of 1e-8 fails the checked bound 1e-10 only; 1e-5 fails both
+        Q = smooth_potential(Grid(1.0, 100))
+        poison_one_step_map(monkeypatch, 1e-8)
+        assert 5e-9 < fundamental_solution_zero(Q, check=False).det_defect < 2e-8
+        with pytest.raises(ResidualError, match="drifts from 1 by"):
+            fundamental_solution_zero(Q)
+        monkeypatch.undo()
+        poison_one_step_map(monkeypatch, 1e-5)
+        with pytest.raises(ResidualError, match="drifts from 1 by"):
+            fundamental_solution_zero(Q, check=False)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
-    def test_rejects_nan(self, bad):
-        m = np.array([np.eye(2), [[1.0, bad], [0.0, 1.0]]])
-        with pytest.raises(ValueError, match="unimodular"):
-            invert_unimodular(m)
+    def test_rejects_nan(self, monkeypatch, bad):
+        poison_one_step_map(monkeypatch, bad)
+        with pytest.raises(ResidualError, match="drifts from 1 by nan"):
+            fundamental_solution_zero(smooth_potential(Grid(1.0, 100)), check=False)
 
 
 class TestFundamentalSolution:
@@ -157,29 +193,16 @@ class TestFundamentalSolution:
         with pytest.raises(ResidualError):
             fundamental_solution_zero(Q)
 
-    @staticmethod
-    def poison_one_step_map(monkeypatch):
-        from diracnsbf import dirac
-
-        step_maps = dirac._rk4_step_maps
-
-        def poisoned(p, q, h):
-            D = step_maps(p, q, h)
-            D[0, 1, D.shape[-1] // 2] = np.nan
-            return D
-
-        monkeypatch.setattr(dirac, "_rk4_step_maps", poisoned)
-
     def test_nan_in_propagator_raises(self, monkeypatch):
         # a NaN passes every `value > tol` test; the determinant check is
         # written `not value <= tol`, so the propagator itself refuses it
-        self.poison_one_step_map(monkeypatch)
+        poison_one_step_map(monkeypatch)
         with pytest.raises(ResidualError, match="propagator U.* drifts from 1 by nan"):
             fundamental_solution_zero(smooth_potential(Grid(1.0, 100)))
 
     def test_nan_in_propagator_raises_without_check(self, monkeypatch):
         # check=False leaves only the adjugate inverse's determinant test
-        self.poison_one_step_map(monkeypatch)
+        poison_one_step_map(monkeypatch)
         with pytest.raises(ResidualError, match="propagator"):
             fundamental_solution_zero(smooth_potential(Grid(1.0, 100)), check=False)
 
