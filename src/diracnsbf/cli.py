@@ -42,7 +42,6 @@ import os
 import sys
 import tempfile
 import time
-import zipfile
 
 import numpy as np
 
@@ -344,21 +343,25 @@ class Problem:
 
     def _cache_path(self):
         base = os.path.dirname(self.out) or "."
-        return os.path.join(base, ".nsbf_cache", self._cache_token() + ".npz")
+        return os.path.join(base, ".nsbf_cache", self._cache_token() + ".npys")
 
     def _load_cached(self, path):
         """(coefficients, probes) from a cache file, or None when it cannot
-        be read (or K lacks the grid's shape or the potential's dtype, or
-        the probe table is missing or not (k, 3))."""
-        shape = (self.grid.size, 2, 2)
+        be read: it must hold K with the grid's shape and the potential's
+        dtype, then a (k, 3) probe table, and nothing after them."""
         try:
-            with np.load(path) as data:
-                K, probes = data["K"], data["probes"]
-            if K.shape[1:] != shape or len(K) < 2 or probes.shape[1:] != (3,):
+            with open(path, "rb") as fh:
+                K = np.lib.format.read_array(fh, allow_pickle=False)
+                if not fh.peek(1):
+                    raise ValueError("no probes record after K")
+                probes = np.lib.format.read_array(fh, allow_pickle=False)
+                if fh.read(1):
+                    raise ValueError("trailing bytes after the probes record")
+            if K.shape[1:] != (self.grid.size, 2, 2) or len(K) < 2 or probes.shape[1:] != (3,):
                 raise ValueError("array shapes do not match the grid")
             if K.dtype != self.potential.p.dtype:
                 raise ValueError("array dtypes do not match the potential")
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError) as exc:
             print(
                 "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),
                 file=sys.stderr,
@@ -367,16 +370,24 @@ class Problem:
         return KernelCoefficients(potential=self.potential, K=K), probes
 
     def _store_cached(self, path, coeffs, probes):
-        """Write the cache file under a temporary name, then move it in place."""
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        """Write K and the probe table as two raw .npy records to a temporary
+        file, then move it in place; a failed write is a note, not an error."""
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, K=coeffs.K, probes=probes)
+                for array in (coeffs.K, probes):
+                    np.lib.format.write_array(fh, array, allow_pickle=False)
             os.replace(tmp, path)
+        except OSError as exc:
+            print(
+                "note: cannot write coefficient cache %s (%s); continuing without it"
+                % (path, exc),
+                file=sys.stderr,
+            )
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
 
     def _build(self):
@@ -410,11 +421,14 @@ class Problem:
 
 def _write_csv(path, header, tables):
     """Header plus the rows of 2-D float tables, each value as "%.17g"."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for text in format_tables(tables):
-            fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            for text in format_tables(tables):
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
 
 
 def cmd_kernel(problem, args):

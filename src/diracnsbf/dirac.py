@@ -386,8 +386,8 @@ def apply_S(H, hom):
     Y(x) = U(0, x) int_0^x U^{-1}(0, t) B^T H(t) dt  with  B^T = -B,
 
     so the integrand has the entries Uinv[i,0] (-H[1,j]) + Uinv[i,1] H[0,j].
-    H is node-major, (M + 1, 2, 2); so is the result, a view of entry-major
-    memory.
+    H is node-major, (M + 1, 2, 2), in any layout; the integrand is formed
+    entry-major and integrated uncopied, and the result is a node-major view.
     """
     H = np.asarray(H)
     check_same_grid(hom.grid, H)

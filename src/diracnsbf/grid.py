@@ -109,24 +109,31 @@ _W = np.array(
 def indefinite_integral(grid, f):
     """Cumulative integral F(x_i) = int_0^x_i f, per component.
 
-    f has shape (M + 1, ...); within each block of 5 cells the partial
-    integrals come from the block's degree-5 interpolant, so the result is
-    exact for polynomials up to degree 5 and F(0) = 0 exactly.
+    f has shape (M + 1, ...) in any memory layout, and F comes in the same
+    one, so an entry-major view is integrated without a copy.  Within each
+    block of 5 cells the partial integrals come from the block's degree-5
+    interpolant, so the result is exact for polynomials up to degree 5 and
+    F(0) = 0 exactly.
     """
     f = np.asarray(f)
     check_same_grid(grid, f)
     nblocks = grid.M // BLOCK
-    blocks = np.empty((BLOCK + 1, nblocks) + f.shape[1:], dtype=f.dtype)
-    for j in range(BLOCK + 1):
-        blocks[j] = f[j::BLOCK][:nblocks]
+    cols = np.moveaxis(f, 0, -1)  # nodes last, a view
+    lead = cols.shape[:-1]
+    # nodes 0..4 of each block from a split of nodes 0..M-1, node 5 by a slice
+    blocks = np.empty((BLOCK + 1,) + lead + (nblocks,), dtype=f.dtype)
+    blocks[:BLOCK] = np.moveaxis(cols[..., :-1].reshape(lead + (nblocks, BLOCK)), -1, 0)
+    blocks[BLOCK] = cols[..., BLOCK::BLOCK]
     # per-block partial integrals at offsets 1..5 (one matrix product over
     # all blocks and components), then block totals chained
     partial = np.tensordot(_W[1:], blocks, axes=(1, 0)) * grid.h
-    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
-    starts = np.zeros((nblocks,) + f.shape[1:], dtype=out.dtype)
-    np.cumsum(partial[-1, :-1], axis=0, out=starts[1:])
-    for k in range(1, BLOCK + 1):
-        out[k::BLOCK] = starts + partial[k - 1]
+    starts = np.zeros(lead + (nblocks,), dtype=partial.dtype)
+    np.cumsum(partial[-1, ..., :-1], axis=-1, out=starts[..., 1:])
+    out = np.empty_like(f, dtype=partial.dtype)
+    out[0] = 0.0
+    # all offsets of all blocks in one add, through a split of nodes 1..M
+    offsets = np.moveaxis(out, 0, -1)[..., 1:].reshape(lead + (nblocks, BLOCK))
+    np.add(starts, partial, out=np.moveaxis(offsets, -1, 0))
     return out
 
 

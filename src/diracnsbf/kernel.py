@@ -178,11 +178,12 @@ def build_coefficients(Q, hom, N):
 def _recurse(Q, hom, N, K=None):
     """Unguarded C_-1..C_N, continuing the unguarded orders K when given.
 
-    Every order depends only on the two unguarded orders before it, so a
-    continued family equals a direct one bit for bit.  Raises ResidualError
-    on NaN contamination, which indicates the grid cannot support order N.
+    C_{n-2} and C_{n-1} roll as contiguous entry-major (2, 2, M + 1) arrays,
+    and each order is copied into the node-major family once.  An order
+    depends only on the two before it, so a continued family equals a direct
+    one bit for bit.  A non-finite order raises ResidualError at once.
     """
-    out = np.zeros((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
+    out = np.empty((N + 2, Q.grid.size, 2, 2), dtype=hom.U.dtype)
     if K is None:
         out[1] = 0.5 * (hom.U - I2)
         out[0] = -out[1]
@@ -192,13 +193,16 @@ def _recurse(Q, hom, N, K=None):
         start = len(K) - 1
     x = Q.grid.nodes
     xpow = x ** (start - 1)
+    a, c = (np.ascontiguousarray(out[k].transpose(1, 2, 0)) for k in (start - 1, start))
     for n in range(start, N + 1):
-        xpow = _recursion_step(out, n, x, xpow, hom)
-    if not np.all(np.isfinite(out[start + 1 :])):
-        raise ResidualError(
-            "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
-            % (N, Q.grid.M)
-        )
+        Cn, xpow = _recursion_step(a, c, n, x, xpow, hom)
+        if not np.all(np.isfinite(Cn)):
+            raise ResidualError(
+                "non-finite kernel coefficients at N=%d, M=%d; refine the grid or lower N"
+                % (N, Q.grid.M)
+            )
+        out[n + 1] = Cn.transpose(2, 0, 1)
+        a, c = c, Cn
     return out
 
 
@@ -209,14 +213,11 @@ def sanitize_cells(n, M):
     return min(int(np.ceil(_SANITIZE_CELLS * n * n)), M // _SANITIZE_CAP)
 
 
-def _recursion_step(K, n, x, xpow, hom):
-    """Write C_n into K[n + 1] from C_{n-2} and C_{n-1}; xpow is x^(n-1).
-
-    B X = [[X10, X11], [-X00, -X01]] and X B = [[-X01, X00], [-X11, X10]]
-    enter each entry as a sign and an index.  Returns x^n, the next xpow.
+def _recursion_step(a, c, n, x, xpow, hom):
+    """C_n from C_{n-2} = a and C_{n-1} = c, all entry-major (2, 2, M + 1),
+    and x^n from xpow = x^(n-1).  B X = [[X10, X11], [-X00, -X01]] and
+    X B = [[-X01, X00], [-X11, X10]] enter each entry as a sign and an index.
     """
-    a = K[n - 1].transpose(1, 2, 0)  # C_{n-2}, entries first
-    c = K[n].transpose(1, 2, 0)  # C_{n-1}
     al, be = -(2 * n - 1), 2 * n - 3
     # H = x^(n-1) (al B C_{n-2} + be C_{n-1} B)
     H = np.empty_like(a, order="C")
@@ -233,18 +234,19 @@ def _recursion_step(K, n, x, xpow, hom):
     cut = sanitize_cells(n, len(x) - 1) + 1
     S[..., cut:] *= 1.0 / xn[cut:]
     S += a
-    np.multiply((2 * n + 1) / (2 * n - 3), S, out=K[n + 1].transpose(1, 2, 0))
-    K[n + 1][:cut] = 0.0
-    return xn
+    S *= (2 * n + 1) / (2 * n - 3)
+    S[..., :cut] = 0.0
+    return S, xn
 
 
 def _finalize(Q, K):
-    # orders 1..N: the guard, and the exact limit C_n(0) = 0 at x = 0
+    """Coefficients from the unguarded family K, which this consumes: orders
+    1..N take the guard (its source nodes lie past the nodes it writes) and
+    the exact limit C_n(0) = 0 at x = 0 in place."""
     guard, i0, w = _guard_weights(Q.grid)
-    Kg = K.copy()
-    Kg[2:, 0] = 0.0
-    Kg[2:, guard] = np.einsum("gj,njab->ngab", w, K[2:, i0 : i0 + 4])
-    return KernelCoefficients(potential=Q, K=Kg)
+    K[2:, 0] = 0.0
+    K[2:, guard] = np.einsum("gj,njab->ngab", w, K[2:, i0 : i0 + 4])
+    return KernelCoefficients(potential=Q, K=K)
 
 
 def kernel_eval(coeffs, x, t):
@@ -332,7 +334,8 @@ def auto_truncation(Q, hom, tol, N_max=128):
     sufficient order exactly.  When even N_max misses tol, the order
     chosen is the first with the smallest max(sup delta_Q, sup delta_0).
     Only the chosen family is finalized, and it equals build_coefficients
-    at that order bit for bit, whatever the schedule.
+    at that order bit for bit, whatever the schedule (a copy when it is a
+    strict prefix of the probed family, which it then does not pin).
 
     Returns (coefficients, probes): probes is the float (k, 3) table of
     (N_probe, sup delta_Q, sup delta_0), one row per probe, and the run
@@ -359,4 +362,5 @@ def auto_truncation(Q, hom, tol, N_max=128):
             break
     else:
         n_best = int(np.argmin(level))
-    return _finalize(Q, K[: n_best + 2]), np.array(probes, dtype=float)
+    K = K[: n_best + 2].copy() if n_best + 2 < len(K) else K
+    return _finalize(Q, K), np.array(probes, dtype=float)

@@ -10,7 +10,8 @@ the kernel recursion is stated in.  The stacked forms at the end are the
 exception: they are the coefficient build as it was written on stacked
 (n, 2, 2) arrays, with the adjugate inverse invert_unimodular, and the
 automatic truncation as it was written per probe, which the library must
-equal bit for bit.
+equal bit for bit, and so is the quadrature as it was written block
+node by block node.
 """
 
 import mpmath as mp
@@ -344,6 +345,25 @@ def stacked_propagator(Q, substeps=10):
     return U, invert_unimodular(U)
 
 
+def blockwise_indefinite_integral(grid, f):
+    """grid.indefinite_integral as it was written with one strided gather
+    per block node and one strided write per offset."""
+    from diracnsbf.grid import BLOCK, _W
+
+    f = np.asarray(f)
+    nblocks = grid.M // BLOCK
+    blocks = np.empty((BLOCK + 1, nblocks) + f.shape[1:], dtype=f.dtype)
+    for j in range(BLOCK + 1):
+        blocks[j] = f[j::BLOCK][:nblocks]
+    partial = np.tensordot(_W[1:], blocks, axes=(1, 0)) * grid.h
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    starts = np.zeros((nblocks,) + f.shape[1:], dtype=out.dtype)
+    np.cumsum(partial[-1, :-1], axis=0, out=starts[1:])
+    for k in range(1, BLOCK + 1):
+        out[k::BLOCK] = starts + partial[k - 1]
+    return out
+
+
 def stacked_apply_S(H, hom):
     """S[H] = U int_0^x U^{-1} (-B H), with stacked products."""
     from diracnsbf.dirac import _b_left
@@ -442,7 +462,7 @@ def per_probe_auto_truncation(Q, hom, tol, N_max=128):
     probes = []
     for Np in _probe_schedule(N_max):
         K = _recurse(Q, hom, Np, K)
-        coeffs = _finalize(Q, K)
+        coeffs = _finalize(Q, K.copy())
         sup_Q, sup_0 = per_probe_residual_profile(coeffs)
         probes.append((Np, float(sup_Q[Np]), float(sup_0[Np])))
         level = np.maximum(sup_Q, sup_0)

@@ -111,6 +111,19 @@ class TestConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("config error: ODE residual") and "refine the grid" in err
 
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
+        # out names a path under a regular file; the cache under it cannot
+        # be written either, which costs one note
+        (tmp_path / "plain").write_text("a file\n")
+        out = tmp_path / "plain" / "r"
+        cfg = write_config(tmp_path, "p_expr = 0\nq_expr = 1\nM = 100\nN = 4\nout = %s\n" % out)
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        note, error = err.splitlines()
+        assert note.startswith("note: cannot write coefficient cache ")
+        assert error.startswith("config error: cannot write %s_coeffs.csv: " % out)
+
     @pytest.mark.parametrize("N", ["6", "auto"])
     def test_non_finite_coefficients_are_a_config_error(self, tmp_path, capsys, monkeypatch, N):
         def poisoned(H, hom):
@@ -336,7 +349,7 @@ class TestCoefficientCache:
         )
         code, _, _ = run(["kernel", "--config", cfg], capsys)
         assert code == 0
-        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npz")
+        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npys")
         first = (tmp_path / "t_coeffs.csv").read_bytes()
         cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
         code, out, err = run(["kernel", "--config", cfg], capsys)
@@ -352,21 +365,26 @@ class TestCoefficientCache:
 
     @staticmethod
     def rebuilt_after_edit(tmp_path, capsys, edit, note):
-        """Build, let edit() change the arrays of the cache file, and check
-        that the next run rebuilds the same CSV after one stderr note."""
+        """Build, let edit() change the records of the cache file (K, probes,
+        and bytes to append under "trailing"), and check that the next run
+        rebuilds the same CSV after one stderr note."""
         cfg = write_config(
             tmp_path,
             "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 6\nout = %s\n" % (tmp_path / "d"),
         )
         code, _, _ = run(["kernel", "--config", cfg], capsys)
         assert code == 0
-        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npz")
+        (cache,) = (tmp_path / ".nsbf_cache").glob("*.npys")
         first = (tmp_path / "d_coeffs.csv").read_bytes()
-        with np.load(cache) as data:
-            arrays = {k: data[k] for k in data.files}
+        with open(cache, "rb") as fh:
+            arrays = {k: np.lib.format.read_array(fh) for k in ("K", "probes")}
+            assert fh.read() == b""
         edit(arrays)
+        trailing = arrays.pop("trailing", b"")
         with open(cache, "wb") as fh:
-            np.savez(fh, **arrays)
+            for array in arrays.values():
+                np.lib.format.write_array(fh, array)
+            fh.write(trailing)
         code, out, err = run(["kernel", "--config", cfg], capsys)
         assert code == 0
         assert "built in" in out
@@ -393,6 +411,42 @@ class TestCoefficientCache:
             del arrays["probes"]
 
         self.rebuilt_after_edit(tmp_path, capsys, edit, "probes")
+
+    def test_cache_with_a_malformed_probe_table_is_rebuilt(self, tmp_path, capsys):
+        def edit(arrays):
+            assert arrays["probes"].shape == (0, 3)
+            arrays["probes"] = np.zeros((2, 2))
+
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "shapes do not match")
+
+    def test_cache_with_trailing_bytes_is_rebuilt(self, tmp_path, capsys):
+        # a file that holds more than the two records was not written whole
+        # by this program
+        def edit(arrays):
+            arrays["trailing"] = b"\0" * 8
+
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "trailing bytes")
+
+    def test_unwritable_cache_is_a_note(self, tmp_path, capsys):
+        # a regular file where the cache directory goes (tests run as root,
+        # so permission bits would not stop the write)
+        (tmp_path / ".nsbf_cache").write_text("not a directory\n")
+        cfg = write_config(
+            tmp_path,
+            "p_expr = 0\nq_expr = 1\nM = 100\nN = 4\nout = %s\n" % (tmp_path / "u"),
+        )
+        code, out, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 0
+        assert "built in" in out and "coefficients written to" in out
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("note: cannot write coefficient cache ")
+        assert err.endswith("; continuing without it\n")
+        assert (tmp_path / "u_coeffs.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".nsbf_cache",
+            "problem.cfg",
+            "u_coeffs.csv",
+        ]
 
     @pytest.mark.parametrize("tol", ["1e-8", "1e-30"])
     def test_kernel_output_is_the_same_warm_or_cold(self, tmp_path, capsys, tol):

@@ -1,7 +1,9 @@
 """The coefficient build, written entry by entry on contiguous vectors,
 against its stacked (n, 2, 2) form (tests/oracles.py), bit for bit; so are
-the automatic truncation, which adds each order's residual once, against
-its per-probe form, and the 2x2 norm against its reduction-scale form.
+the quadrature, which splits the nodes into blocks by a reshape, against
+its gather-per-node form, the automatic truncation, which adds each order's
+residual once, against its per-probe form, and the 2x2 norm against its
+reduction-scale form.
 
 Every quantity is compared as the uint64 bit patterns of its floats, so a
 zero of the other sign counts as a difference too.
@@ -13,7 +15,7 @@ import pytest
 from diracnsbf import dirac, kernel
 from diracnsbf.dirac import Potential, fundamental_solution_zero
 from diracnsbf.gauge import diagonal_to_canonical
-from diracnsbf.grid import Grid
+from diracnsbf.grid import Grid, indefinite_integral
 from diracnsbf.kernel import auto_truncation, build_coefficients, goursat_residuals
 
 import oracles
@@ -57,6 +59,23 @@ def problem(request):
         Q = Potential.from_functions(g, *POTENTIALS[request.param])
     assert Q.p.dtype == (np.complex128 if "complex" in request.param else np.float64)
     return Q, fundamental_solution_zero(Q)
+
+
+@pytest.mark.parametrize("M", [10, 10000])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("layout", ["node-major", "entry-major"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_indefinite_integral_matches_blockwise_form(M, shape, layout, dtype):
+    g = Grid(1.0, M)
+    rng = np.random.default_rng(M + len(shape))
+    f = rng.standard_normal((g.size,) + shape)
+    if dtype is complex:
+        f = f + 1j * rng.standard_normal(f.shape)
+    if layout == "entry-major":  # a node-major view of memory with nodes last
+        f = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+    F = indefinite_integral(g, f)
+    assert F.strides == f.strides
+    assert_same_bits(F, oracles.blockwise_indefinite_integral(g, f))
 
 
 def test_step_maps(problem):
