@@ -45,7 +45,7 @@ import time
 
 import numpy as np
 
-from . import __version__, dirac, kernel
+from . import dirac
 from .csvfmt import format_tables
 from .dirac import (
     Potential,
@@ -102,42 +102,38 @@ class ConfigError(Exception):
     pass
 
 
+def _key_value(item, where):
+    """(key, value) of one key=value item; where prefixes the messages."""
+    if "=" not in item:
+        raise ConfigError("%s: expected key=value, got %r" % (where, item))
+    key, value = (s.strip() for s in item.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(
+            "%s: unknown key %r (known: %s)" % (where, key, ", ".join(sorted(_KEYS)))
+        )
+    return key, value
+
+
 def load_config(path):
     cfg = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        "%s:%d: expected key=value, got %r" % (path, lineno, line)
-                    )
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key not in _KEYS:
-                    raise ConfigError(
-                        "%s:%d: unknown key %r (known: %s)"
-                        % (path, lineno, key, ", ".join(sorted(_KEYS)))
-                    )
-                cfg[key] = value
+                if line:
+                    key, value = _key_value(line, "%s:%d" % (path, lineno))
+                    cfg[key] = value
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc)
     return cfg
 
 
 def apply_overrides(cfg, sets):
-    for item in sets or []:
-        if "=" not in item:
-            raise ConfigError("--set needs key=value, got %r" % item)
-        key, value = (s.strip() for s in item.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError("--set: unknown key %r" % key)
-        cfg[key] = value
+    cfg.update(_key_value(item, "--set") for item in sets or [])
     return cfg
 
 
-def _get_float(cfg, key, default=None):
+def _get_float(cfg, key, default=None, positive=False):
     if key not in cfg:
         if default is None:
             raise ConfigError("missing required key %r" % key)
@@ -148,25 +144,34 @@ def _get_float(cfg, key, default=None):
         raise ConfigError("key %r must be a number, got %r" % (key, cfg[key]))
     if not np.isfinite(value):
         raise ConfigError("key %r must be finite, got %r" % (key, cfg[key]))
+    if positive and value <= 0:
+        raise ConfigError("%s must be positive, got %r" % (key, cfg[key]))
     return value
 
 
-def _parse_constant(text, what):
-    try:
-        value = evaluate(parse(text))
-    except (ParseError, ValueError) as exc:
-        raise ConfigError("bad %s %r: %s" % (what, text, exc))
-    return complex(value)
-
-
-def _parse_block(text, name):
-    entries = [t for t in text.replace(";", ",").split(",") if t.strip()]
-    if len(entries) != 4:
+def _parse_constants(text, what, count=None):
+    """The comma-separated constants of text, empty items skipped, as a
+    list of complex; count, when given, is how many there must be."""
+    vals = []
+    for tok in (t.strip() for t in text.split(",")):
+        if tok:
+            try:
+                vals.append(complex(evaluate(parse(tok))))
+            except ValueError as exc:  # a ParseError is a ValueError
+                raise ConfigError("bad %s %r: %s" % (what, tok, exc))
+    if not vals or count not in (None, len(vals)):
         raise ConfigError(
-            "%s must hold 4 entries (row-major 2x2), got %d" % (name, len(entries))
+            "%s needs %s values, got %d" % (what, count or "one or more", len(vals))
         )
-    vals = [_parse_constant(t, name + " entry") for t in entries]
-    return np.array(vals, dtype=complex).reshape(2, 2)
+    return vals
+
+
+def _parse_expr(cfg, key, what):
+    """The syntax tree of the expression cfg[key]."""
+    try:
+        return parse(cfg[key])
+    except ParseError as exc:
+        raise ConfigError("bad %s: %s" % (what, exc))
 
 
 def _on_grid(tree, grid, key):
@@ -223,9 +228,7 @@ class Problem:
             self.grid = Grid(self.b, m)
         except ValueError as exc:
             raise ConfigError(str(exc))
-        self.tol = _get_float(cfg, "tol", 1e-10)
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive, got %r" % cfg["tol"])
+        self.tol = _get_float(cfg, "tol", 1e-10, positive=True)
         nspec = cfg.get("N", str(DEFAULT_TRUNCATION)).strip()
         if nspec == "auto":
             self.N = "auto"
@@ -258,18 +261,12 @@ class Problem:
         if sources[0]:
             if not ("p_expr" in cfg and "q_expr" in cfg):
                 raise ConfigError("both p_expr and q_expr are required")
-            try:
-                p_tree = parse(cfg["p_expr"])
-                q_tree = parse(cfg["q_expr"])
-            except ParseError as exc:
-                raise ConfigError("bad potential expression: %s" % exc)
+            p_tree = _parse_expr(cfg, "p_expr", "potential expression")
+            q_tree = _parse_expr(cfg, "q_expr", "potential expression")
             p = _on_grid(p_tree, self.grid, "p_expr")
             q = _on_grid(q_tree, self.grid, "q_expr")
             if "gauge_phi" in cfg:
-                try:
-                    phi_tree = parse(cfg["gauge_phi"])
-                except ParseError as exc:
-                    raise ConfigError("bad gauge_phi: %s" % exc)
+                phi_tree = _parse_expr(cfg, "gauge_phi", "gauge_phi")
                 _on_grid(phi_tree, self.grid, "gauge_phi")
                 self.potential, self.gauge_defect = diagonal_to_canonical(
                     self.grid,
@@ -289,10 +286,7 @@ class Problem:
         elif sources[1]:
             self.potential = _read_potential_file(cfg["potential_file"], self.grid)
         else:
-            try:
-                nu_tree = parse(cfg["nu_expr"])
-            except ParseError as exc:
-                raise ConfigError("bad nu_expr: %s" % exc)
+            nu_tree = _parse_expr(cfg, "nu_expr", "nu_expr")
             zs = ZsPotential(
                 self.grid,
                 _on_grid(nu_tree, self.grid, "nu_expr"),
@@ -306,8 +300,10 @@ class Problem:
         if "bc_left" in cfg or "bc_right" in cfg:
             if not ("bc_left" in cfg and "bc_right" in cfg):
                 raise ConfigError("both bc_left and bc_right are required")
-            left = _parse_block(cfg["bc_left"], "bc_left")
-            right = _parse_block(cfg["bc_right"], "bc_right")
+            left, right = (
+                np.reshape(_parse_constants(cfg[key].replace(";", ","), key, 4), (2, 2))
+                for key in ("bc_left", "bc_right")
+            )
             if not (np.any(left) or np.any(right)):
                 raise ConfigError("boundary blocks are both zero")
             if self.gauge_defect is not None:
@@ -321,12 +317,7 @@ class Problem:
     def _cache_token(self):
         cfg = self.cfg
         parts = [
-            "version=%s" % __version__,
             "source=%s" % _source_digest(),
-            "substeps=%d" % dirac._SUBSTEPS,
-            "guard=%r" % kernel._GUARD_FRACTION,
-            "sanitize=%r,%r,%r"
-            % (kernel._SANITIZE_FROM, kernel._SANITIZE_CELLS, kernel._SANITIZE_CAP),
             "b=%r" % self.b,
             "M=%d" % self.grid.M,
             "N=%r" % self.N,
@@ -348,7 +339,7 @@ class Problem:
     def _load_cached(self, path):
         """(coefficients, probes) from a cache file, or None when it cannot
         be read: it must hold K with the grid's shape and the potential's
-        dtype, then a (k, 3) probe table, and nothing after them."""
+        dtype, then a float64 (k, 3) probe table, and nothing after them."""
         try:
             with open(path, "rb") as fh:
                 K = np.lib.format.read_array(fh, allow_pickle=False)
@@ -359,8 +350,8 @@ class Problem:
                     raise ValueError("trailing bytes after the probes record")
             if K.shape[1:] != (self.grid.size, 2, 2) or len(K) < 2 or probes.shape[1:] != (3,):
                 raise ValueError("array shapes do not match the grid")
-            if K.dtype != self.potential.p.dtype:
-                raise ValueError("array dtypes do not match the potential")
+            if (K.dtype, probes.dtype) != (self.potential.p.dtype, np.float64):
+                raise ValueError("array dtypes do not match the potential and float64 probes")
         except (OSError, ValueError) as exc:
             print(
                 "note: unreadable coefficient cache %s (%s); rebuilding" % (path, exc),
@@ -452,20 +443,11 @@ def cmd_kernel(problem, args):
     return 0
 
 
-def _parse_lambdas(text):
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok:
-            vals.append(_parse_constant(tok, "lambda"))
-    if not vals:
-        raise ConfigError("no lambda values supplied")
-    return vals
-
-
 def cmd_solve(problem, args):
-    lams = _parse_lambdas(args.lambdas)
-    c = _parse_block_vector(args.c)
+    if not args.lambdas:
+        raise ConfigError("solve needs --lambdas")
+    lams = _parse_constants(args.lambdas, "lambda")
+    c = np.array(_parse_constants(args.c, "initial value", 2))
     coeffs, _ = problem.coefficients()
     t0 = time.perf_counter()
     for k, lam in enumerate(lams):
@@ -483,13 +465,6 @@ def cmd_solve(problem, args):
     return 0
 
 
-def _parse_block_vector(text):
-    vals = [_parse_constant(t, "initial value") for t in text.split(",") if t.strip()]
-    if len(vals) != 2:
-        raise ConfigError("initial value needs 2 components, got %d" % len(vals))
-    return np.array(vals, dtype=complex)
-
-
 def cmd_spectrum(problem, args):
     if problem.bc is None:
         raise ConfigError("spectrum needs bc_left and bc_right")
@@ -497,11 +472,15 @@ def cmd_spectrum(problem, args):
     lam_max = _get_float(problem.cfg, "lambda_max")
     if not lam_min < lam_max:
         raise ConfigError("need lambda_min < lambda_max")
-    step = None
-    if "scan_step" in problem.cfg:
-        step = _get_float(problem.cfg, "scan_step")
-        if step <= 0:
-            raise ConfigError("scan_step must be positive")
+    # the default step is scan_eigenvalues' own, pi / (10 b)
+    step = _get_float(problem.cfg, "scan_step", np.pi / (10.0 * problem.b), positive=True)
+    # numpy cannot form an array of more bytes than an index can count
+    points = (lam_max - lam_min) / step
+    if not points < np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+        raise ConfigError(
+            "lambda_min = %r to lambda_max = %r in steps of scan_step = %r is %.3g "
+            "scan points, more than an array can hold" % (lam_min, lam_max, step, points)
+        )
     coeffs, _ = problem.coefficients()
     t0 = time.perf_counter()
     try:
@@ -558,15 +537,8 @@ def _run_checks(problem):
             dirac.ode_residual_tol(Q),
         )
     except Exception as exc:  # checks must report, not crash
-        checks.append(
-            {
-                "name": "fundamental_solution",
-                "value": float("nan"),
-                "threshold": 0.0,
-                "passed": False,
-                "error": str(exc),
-            }
-        )
+        record("fundamental_solution", float("nan"), 0.0)
+        checks[-1]["error"] = str(exc)
         return checks
     N = problem.N if problem.N != "auto" else DEFAULT_TRUNCATION
     N = max(4, min(N, 24))
@@ -614,6 +586,14 @@ def cmd_validate(problem, args):
     return 0 if ok else 1
 
 
+_COMMANDS = {
+    "kernel": cmd_kernel,
+    "solve": cmd_solve,
+    "spectrum": cmd_spectrum,
+    "validate": cmd_validate,
+}
+
+
 @functools.cache
 def _pin_malloc_thresholds():
     """Fix glibc's mmap and trim thresholds (mallopt -3 and -1) at the values
@@ -635,7 +615,7 @@ def main(argv=None):
         prog="diracnsbf",
         description="Dirac-system solver based on Neumann series of Bessel functions",
     )
-    ap.add_argument("command", choices=["kernel", "solve", "spectrum", "validate"])
+    ap.add_argument("command", choices=_COMMANDS)
     ap.add_argument("--config", help="flat key=value problem description")
     ap.add_argument(
         "--set",
@@ -654,8 +634,7 @@ def main(argv=None):
         if args.command == "validate" and not any(
             k in cfg for k in ("p_expr", "q_expr", "nu_expr", "potential_file")
         ):
-            cfg.setdefault("p_expr", "sin(pi*x)")
-            cfg.setdefault("q_expr", "cos(pi*x)")
+            cfg.update(p_expr="sin(pi*x)", q_expr="cos(pi*x)")
         problem = Problem(cfg)
         if problem.gauge_defect is not None and problem.gauge_defect > 1e-6:
             print(
@@ -664,15 +643,7 @@ def main(argv=None):
                 % problem.gauge_defect,
                 file=sys.stderr,
             )
-        if args.command == "kernel":
-            return cmd_kernel(problem, args)
-        if args.command == "solve":
-            if not args.lambdas:
-                raise ConfigError("solve needs --lambdas")
-            return cmd_solve(problem, args)
-        if args.command == "spectrum":
-            return cmd_spectrum(problem, args)
-        return cmd_validate(problem, args)
+        return _COMMANDS[args.command](problem, args)
     except (ConfigError, dirac.ResidualError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -343,15 +343,22 @@ def fundamental_solution_zero(Q, check=True):
     identity into every step, which on a constant potential drifts
     instead of averaging out.  det U(0, x) = 1 identically (the
     coefficient matrix B Q is trace-free), so the inverse apply_S takes is
-    the adjugate.  A determinant drift above DET_TOL_UNCHECKED always
-    raises ResidualError, NaN included; with check=True the drift must stay
-    within DET_TOL and the finite-difference ODE residual within
-    ode_residual_tol(Q).  Failure signals that the grid is too coarse for
-    the potential.
+    the adjugate.  A p or q that is not finite at a refined point raises
+    ResidualError naming the first such x.  A determinant drift above
+    DET_TOL_UNCHECKED always raises ResidualError, NaN included; with
+    check=True the drift must stay within DET_TOL and the finite-difference
+    ODE residual within ode_residual_tol(Q).  Such failure signals that the
+    grid is too coarse for the potential.
     """
     grid, substeps = Q.grid, _SUBSTEPS
-    # p and q at every half step of the refinement
-    p, q = Q.values_at(np.linspace(0.0, grid.b, 2 * grid.M * substeps + 1))
+    # p and q at every half step of the refinement, where a pole between
+    # the nodes is one error, not a warning in the step maps
+    x = np.linspace(0.0, grid.b, 2 * grid.M * substeps + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, q = Q.values_at(x)
+    bad = ~(np.isfinite(p) & np.isfinite(q))
+    if bad.any():
+        raise ResidualError("the potential is not finite at x = %.17g" % x[np.argmax(bad)])
     D = _rk4_step_maps(p, q, grid.h / substeps).reshape(2, 2, grid.M, substeps)
     cells = D[..., 0]
     for k in range(1, substeps):

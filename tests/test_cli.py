@@ -131,7 +131,7 @@ class TestConfig:
             S[len(S) // 2, 0, 1] = np.nan
             return S
 
-        monkeypatch.setattr(cli.kernel, "apply_S", poisoned)
+        monkeypatch.setattr(diracnsbf.kernel, "apply_S", poisoned)
         cfg = write_config(
             tmp_path,
             "p_expr = sin(pi*x)\nq_expr = 1\nM = 200\nN = %s\nout = %s\n"
@@ -141,6 +141,28 @@ class TestConfig:
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "non-finite kernel coefficients at N=%d, M=200" % (6 if N == "6" else 2) in err
+
+    @pytest.mark.parametrize(
+        "source, notes",
+        [
+            ("p_expr = 1/(x-0.00005)\nq_expr = 1", []),
+            (
+                "p_expr = -x\nq_expr = 1\ngauge_phi = 1/(x-0.00005)",
+                ["warning: gauge angle inconsistent with diagonal entries"],
+            ),
+        ],
+        ids=["p_expr", "gauge_phi"],
+    )
+    def test_pole_between_nodes_is_a_config_error(self, tmp_path, capsys, source, notes):
+        # x = 5e-5 is no node of M = 2000 (h = 5e-4) but a point of the
+        # propagator's refined grid, where p or q is not finite
+        cfg = write_config(tmp_path, source + "\nM = 2000\nN = 8\nout = %s\n" % (tmp_path / "p"))
+        code, _, err = run(["kernel", "--config", cfg], capsys)
+        assert code == 2
+        *lines, last = err.splitlines()
+        assert len(lines) == len(notes) and all(map(str.startswith, lines, notes))
+        assert last == "config error: the potential is not finite at x = %.17g" % 5e-5
+        assert not (tmp_path / "p_coeffs.csv").exists()
 
     @pytest.mark.parametrize(
         "command, setting",
@@ -181,6 +203,140 @@ class TestConfig:
             str(tmp_path / "a_coeffs.csv"), delimiter=",", skiprows=1, ndmin=2
         )
         assert int(data[:, 0].max()) == 2
+
+
+BASE_CONFIG = "p_expr = 0\nq_expr = 1\nM = 100\nN = 4\n"
+BLOCKS = ["--set", "bc_left=1,0;0,0", "--set", "bc_right=0,0;1,0"]
+KNOWN_KEYS = (
+    "(known: M, N, b, bc_left, bc_right, gauge_phi, lambda_max, lambda_min, nu_expr, "
+    "out, p_expr, potential_file, q_expr, scan_step, tol)"
+)
+
+
+class TestConfigMessages:
+    """Each bad input of the config layer exits 2 with one exact stderr line,
+    before any build or output."""
+
+    @pytest.mark.parametrize(
+        "command, text, extra, message",
+        [
+            ("kernel", "p_expr 0\n", [], "{cfg}:1: expected key=value, got 'p_expr 0'"),
+            ("kernel", "bogus = 3\n", [], "{cfg}:1: unknown key 'bogus' " + KNOWN_KEYS),
+            ("kernel", BASE_CONFIG, ["--set", "N"], "--set: expected key=value, got 'N'"),
+            ("kernel", BASE_CONFIG, ["--set", "bogus=1"], "--set: unknown key 'bogus' " + KNOWN_KEYS),
+            ("kernel", BASE_CONFIG, ["--set", "M=abc"], "key 'M' must be a number, got 'abc'"),
+            ("kernel", BASE_CONFIG, ["--set", "b=inf"], "key 'b' must be finite, got 'inf'"),
+            ("kernel", BASE_CONFIG, ["--set", "N=2.5"], "N must be an integer or 'auto', got '2.5'"),
+            ("kernel", BASE_CONFIG, ["--set", "N=-1"], "N must be >= 0"),
+            ("kernel", BASE_CONFIG, ["--set", "tol=0"], "tol must be positive, got '0'"),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "bc_left=1,0;0", "--set", "bc_right=0,0;1,0"],
+                "bc_left needs 4 values, got 3",
+            ),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "bc_left=1,0;0,2x", "--set", "bc_right=0,0;1,0"],
+                "bad bc_left '2x': unexpected token 'x' (at position 1)",
+            ),
+            ("kernel", BASE_CONFIG, BLOCKS[:2], "both bc_left and bc_right are required"),
+            ("solve", BASE_CONFIG, ["--lambdas", "1", "--c", "1"], "initial value needs 2 values, got 1"),
+            (
+                "solve",
+                BASE_CONFIG,
+                ["--lambdas", "1", "--c", "1,x"],
+                "bad initial value 'x': expression depends on x but no x was supplied",
+            ),
+            ("solve", BASE_CONFIG, [], "solve needs --lambdas"),
+            ("solve", BASE_CONFIG, ["--lambdas="], "solve needs --lambdas"),
+            ("solve", BASE_CONFIG, ["--lambdas", ", ,"], "lambda needs one or more values, got 0"),
+            (
+                "solve",
+                BASE_CONFIG,
+                ["--lambdas", "1, 2x"],
+                "bad lambda '2x': unexpected token 'x' (at position 1)",
+            ),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "p_expr=2**x"],
+                "bad potential expression: unexpected token '*' (at position 2)",
+            ),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "q_expr=sin("],
+                "bad potential expression: unexpected token 'end of input' (at position 4)",
+            ),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "gauge_phi=x)"],
+                "bad gauge_phi: unexpected token ')' (at position 1)",
+            ),
+            (
+                "kernel",
+                "nu_expr = 2x\nM = 100\n",
+                [],
+                "bad nu_expr: unexpected token 'x' (at position 1)",
+            ),
+            (
+                "kernel",
+                BASE_CONFIG,
+                ["--set", "nu_expr=0.5"],
+                "exactly one potential source required: p_expr+q_expr, potential_file, "
+                "or nu_expr",
+            ),
+            (
+                "spectrum",
+                BASE_CONFIG,
+                BLOCKS + ["--set", "lambda_min=5", "--set", "lambda_max=5"],
+                "need lambda_min < lambda_max",
+            ),
+            (
+                "spectrum",
+                BASE_CONFIG,
+                BLOCKS + ["--set", "lambda_min=-5", "--set", "lambda_max=5", "--set", "scan_step=0"],
+                "scan_step must be positive, got '0'",
+            ),
+        ],
+        ids=[
+            "file-missing-eq",
+            "file-unknown-key",
+            "set-missing-eq",
+            "set-unknown-key",
+            "bad-number",
+            "non-finite-number",
+            "N-not-integer",
+            "N-negative",
+            "tol",
+            "block-count",
+            "block-entry",
+            "lone-bc_left",
+            "initial-value-count",
+            "initial-value-entry",
+            "no-lambdas",
+            "empty-lambdas",
+            "blank-lambdas",
+            "bad-lambda",
+            "bad-p_expr",
+            "bad-q_expr",
+            "bad-gauge_phi",
+            "bad-nu_expr",
+            "conflicting-sources",
+            "lambda-order",
+            "scan_step",
+        ],
+    )
+    def test_message(self, tmp_path, capsys, command, text, extra, message):
+        cfg = write_config(tmp_path, text + "out = %s\n" % (tmp_path / "m"))
+        code, out, err = run([command, "--config", cfg] + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: %s\n" % message.format(cfg=cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.cfg"]
 
 
 class TestKernelCommand:
@@ -419,6 +575,14 @@ class TestCoefficientCache:
 
         self.rebuilt_after_edit(tmp_path, capsys, edit, "shapes do not match")
 
+    def test_cache_with_a_complex_probe_table_is_rebuilt(self, tmp_path, capsys):
+        # the probe table is float64 as auto_truncation returns it
+        def edit(arrays):
+            assert arrays["probes"].dtype == np.float64
+            arrays["probes"] = arrays["probes"].astype(complex)
+
+        self.rebuilt_after_edit(tmp_path, capsys, edit, "float64 probes")
+
     def test_cache_with_trailing_bytes_is_rebuilt(self, tmp_path, capsys):
         # a file that holds more than the two records was not written whole
         # by this program
@@ -472,24 +636,31 @@ class TestCoefficientCache:
         )
         assert (warning in cold_err) == (tol == "1e-30")
 
-    def test_cache_token_tracks_build_constants(self, monkeypatch):
-        from diracnsbf import cli, dirac, kernel
+    def test_cache_token_tracks_build_constants(self, tmp_path, monkeypatch):
+        # the build constants and the version reach the token through the
+        # source digest: an edit to any of them in a copy of the package
+        # changes the digest, and the digest is part of the token
+        for module, name in (
+            ("dirac.py", "_SUBSTEPS"),
+            ("kernel.py", "_GUARD_FRACTION"),
+            ("kernel.py", "_SANITIZE_FROM"),
+            ("kernel.py", "_SANITIZE_CELLS"),
+            ("kernel.py", "_SANITIZE_CAP"),
+            ("__init__.py", "__version__"),
+        ):
 
+            def edit(copy):
+                text = (copy / module).read_text()
+                edited, count = re.subn(r"^%s = .*$" % name, "%s = 0" % name, text, flags=re.M)
+                assert count == 1 and edited != text, name
+                (copy / module).write_text(edited)
+
+            with monkeypatch.context() as m:
+                assert self.digest_changes(tmp_path, m, edit), name
         problem = cli.Problem({"p_expr": "0", "q_expr": "1", "M": "100"})
         base = problem._cache_token()
-        for module, name, value in (
-            (dirac, "_SUBSTEPS", 12),
-            (kernel, "_GUARD_FRACTION", 2e-3),
-            (kernel, "_SANITIZE_FROM", 5),
-            (kernel, "_SANITIZE_CELLS", 0.5),
-            (kernel, "_SANITIZE_CAP", 4),
-            (cli, "_source_digest", lambda: "other"),
-            (cli, "__version__", "0.0.0"),
-        ):
-            with monkeypatch.context() as m:
-                m.setattr(module, name, value)
-                assert problem._cache_token() != base, name
-        assert problem._cache_token() == base
+        monkeypatch.setattr(cli, "_source_digest", lambda: "other")
+        assert problem._cache_token() != base
 
     @staticmethod
     def digest_changes(tmp_path, monkeypatch, edit):
@@ -600,6 +771,27 @@ class TestSpectrumCommand:
         assert code == 2
         assert err.startswith("config error: Delta is complex on the real axis")
         assert not (tmp_path / "c_eigs.csv").exists()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["lambda_min=-1e308", "lambda_max=1e308"],
+            ["lambda_min=-1", "lambda_max=1", "scan_step=1e-300"],
+        ],
+        ids=["infinite-span", "tiny-step"],
+    )
+    def test_unformable_scan_grid_is_a_config_error(self, tmp_path, capsys, settings):
+        # both grids are refused from their point count, before the build
+        cfg = write_config(tmp_path, FREE_DIRICHLET % (tmp_path / "e"))
+        argv = ["spectrum", "--config", cfg]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: lambda_min = ") and err.count("\n") == 1
+        assert all(key in err for key in ("lambda_min", "lambda_max", "scan_step"))
+        assert err.endswith(" scan points, more than an array can hold\n")
 
     def test_gauge_spectrum_matches_plain(self, tmp_path, capsys):
         # diag(-x, 1) benchmark via the gauge route, few eigenvalues
@@ -876,6 +1068,48 @@ def test_entry_point_smoke(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_imports_numpy_only(tmp_path):
+    """The commands run with scipy, mpmath and hypothesis refused by an
+    import hook: the runtime is numpy-only, whatever the tests install."""
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        "p_expr = sin(pi*x)\nq_expr = cos(pi*x)\nM = 100\nN = 8\n"
+        "bc_left = 1,0;0,0\nbc_right = 0,0;1,0\nlambda_min = -10\nlambda_max = 10\n"
+        "out = %s\n" % (tmp_path / "np")
+    )
+    code = """
+import importlib.abc, sys
+
+REFUSED = {"scipy", "mpmath", "hypothesis"}
+
+
+class Refuse(importlib.abc.MetaPathFinder):
+    # every attempt counts, also one whose ImportError the caller catches
+    attempted = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in REFUSED:
+            self.attempted.append(name)
+            raise ImportError("refused: " + name)
+
+
+sys.meta_path.insert(0, Refuse())
+from diracnsbf.cli import main
+
+commands = (["kernel"], ["solve", "--lambdas=-2,1+1i"], ["spectrum"], ["validate"])
+codes = [main(argv + ["--config", sys.argv[1]]) for argv in commands]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in REFUSED)
+print("exit codes", codes, "attempted", Refuse.attempted, "loaded", loaded)
+"""
+    package_dir = os.path.dirname(os.path.abspath(diracnsbf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes [0, 0, 0, 0] attempted [] loaded []"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
