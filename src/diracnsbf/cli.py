@@ -39,9 +39,11 @@ import ctypes
 import functools
 import hashlib
 import os
+import signal
 import sys
 import tempfile
 import time
+import traceback
 
 import numpy as np
 
@@ -443,25 +445,87 @@ def cmd_kernel(problem, args):
     return 0
 
 
+def _solve_share(problem, coeffs, c, share):
+    """Solve and write the (index, lambda) pairs of share in order; the
+    first failure as (index, message), or None."""
+    for k, lam in share:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve_ivp(coeffs, lam, c)
+            if not (np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.residual_nodes))):
+                raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
+            # re_y1, im_y1, re_y2, im_y2 per node; a real Y has +0 im columns
+            Y = np.asarray(sol.Y, dtype=complex).view(float)
+            table = np.column_stack((problem.grid.nodes, Y, sol.residual_nodes))
+            path = "%s_solution_%03d.csv" % (problem.out, k)
+            _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", [table])
+        except ConfigError as exc:
+            return k, str(exc)
+
+
+def _in_workers(task, shares):
+    """[task(share) for share in shares], for a task that returns None or
+    (int, str): shares[0] here, every other one in a forked child that
+    reports over a pipe and leaves by os._exit, so that it never returns
+    into the caller nor flushes its copy of this process's buffers."""
+    children, reports = [], None
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        first, code = task(share), 0
+                        report = "%d %s" % first if first else ""
+                    except Exception:  # its traceback goes to the parent
+                        report, code = traceback.format_exc(), 1
+                    os.write(w, os.fsencode(report))
+                    os._exit(code)
+                finally:
+                    os._exit(1)
+            children.append((pid, os.fdopen(r, "rb")))
+            os.close(w)
+        results = [task(shares[0])]
+        reports = [os.fsdecode(fh.read()) for _, fh in children]
+    finally:
+        # every child is reaped, and killed first unless it reported
+        for pid, fh in children:
+            fh.close()
+            if reports is None:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for code, report in zip(codes, reports):
+        if code:  # an exception or a signal, never a silent success
+            raise RuntimeError("a worker ended with status %d:\n%s" % (code, report))
+        k, _, message = report.partition(" ")
+        results.append((int(k), message) if report else None)
+    return results
+
+
 def cmd_solve(problem, args):
     if not args.lambdas:
         raise ConfigError("solve needs --lambdas")
     lams = _parse_constants(args.lambdas, "lambda")
     c = np.array(_parse_constants(args.c, "initial value", 2))
     coeffs, _ = problem.coefficients()
+    coeffs.folded  # formed once, before the fork
     t0 = time.perf_counter()
-    for k, lam in enumerate(lams):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(coeffs, lam, c)
-        if not (np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.residual_nodes))):
-            raise ConfigError("the solution at lambda = %r overflows double precision" % lam)
-        # re_y1, im_y1, re_y2, im_y2 per node; a real Y has +0 im columns
-        Y = np.asarray(sol.Y, dtype=complex).view(float)
-        table = np.column_stack((problem.grid.nodes, Y, sol.residual_nodes))
-        path = "%s_solution_%03d.csv" % (problem.out, k)
-        _write_csv(path, "x,re_y1,im_y1,re_y2,im_y2,residual", [table])
+    # a worker per usable CPU; worker w takes indices w, w + W, ..., since
+    # the cost grows with |lambda| and the complex lambdas come last
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    W = min(len(lams), len(os.sched_getaffinity(0))) if forks else 1
+    shares = [list(enumerate(lams))[w::W] for w in range(W)]
+    firsts = _in_workers(functools.partial(_solve_share, problem, coeffs, c), shares)
+    if any(firsts):
+        # as with one worker: the lowest failing index, and no file above it
+        k, message = min(f for f in firsts if f)
+        for j in range(k + 1, len(lams)):
+            if j < (firsts[j % W] or (len(lams),))[0]:  # written by worker j % W
+                os.remove("%s_solution_%03d.csv" % (problem.out, j))
+        raise ConfigError(message)
     dt = time.perf_counter() - t0
-    print("solve: %d lambda values in %.3fs" % (len(lams), dt))
+    print("solve: %d lambda values in %.3fs on %d process%s" % (len(lams), dt, W, "es" * (W > 1)))
     return 0
 
 

@@ -258,8 +258,9 @@ class HomogeneousSolution:
 
     @cached_property
     def det_defect(self):
-        """max |det U(0, x) - 1| over the nodes."""
-        return float(np.max(np.abs(_det2(self.U) - 1.0)))
+        """max |det U(0, x) - 1| over the nodes; not finite where det overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(_det2(self.U) - 1.0)))
 
 
 def _b_left(X):
@@ -345,7 +346,8 @@ def fundamental_solution_zero(Q, check=True):
     coefficient matrix B Q is trace-free), so the inverse apply_S takes is
     the adjugate.  A p or q that is not finite at a refined point raises
     ResidualError naming the first such x.  A determinant drift above
-    DET_TOL_UNCHECKED always raises ResidualError, NaN included; with
+    DET_TOL_UNCHECKED always raises ResidualError, NaN included, naming the
+    first x where U(0, x) is not finite, if it is not; with
     check=True the drift must stay within DET_TOL and the finite-difference
     ODE residual within ode_residual_tol(Q).  Such failure signals that the
     grid is too coarse for the potential.
@@ -359,23 +361,27 @@ def fundamental_solution_zero(Q, check=True):
     bad = ~(np.isfinite(p) & np.isfinite(q))
     if bad.any():
         raise ResidualError("the potential is not finite at x = %.17g" % x[np.argmax(bad)])
-    D = _rk4_step_maps(p, q, grid.h / substeps).reshape(2, 2, grid.M, substeps)
-    cells = D[..., 0]
-    for k in range(1, substeps):
-        cells = _compose(D[..., k], cells)
-    # after the round with offset d, cell i composes cells i - 2d + 1..i
-    d = 1
-    while d < grid.M:
-        cells[..., d:] = _compose(cells[..., d:], cells[..., :-d])
-        d *= 2
+    # a U(0, x) beyond double precision is one error, not overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = _rk4_step_maps(p, q, grid.h / substeps).reshape(2, 2, grid.M, substeps)
+        cells = D[..., 0]
+        for k in range(1, substeps):
+            cells = _compose(D[..., k], cells)
+        # after the round with offset d, cell i composes cells i - 2d + 1..i
+        d = 1
+        while d < grid.M:
+            cells[..., d:] = _compose(cells[..., d:], cells[..., :-d])
+            d *= 2
     U = np.empty((grid.size, 2, 2), dtype=cells.dtype)
     U[0] = I2
     U[1:] = cells.transpose(2, 0, 1) + I2
     hom = HomogeneousSolution(grid=grid, U=U)
     if not hom.det_defect <= (DET_TOL if check else DET_TOL_UNCHECKED):
+        bad = ~np.isfinite(U).all(axis=(1, 2))
+        where = "U(0, x) is not finite at x = %.17g" % grid.nodes[np.argmax(bad)]
         raise ResidualError(
-            "det of the propagator U(0, x) drifts from 1 by %.3e; refine the grid"
-            % hom.det_defect
+            "det of the propagator U(0, x) drifts from 1 by %.3e; %s"
+            % (hom.det_defect, where if bad.any() else "refine the grid")
         )
     if check:
         tol = ode_residual_tol(Q)

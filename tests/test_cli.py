@@ -111,6 +111,17 @@ class TestConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("config error: ODE residual") and "refine the grid" in err
 
+    def test_propagator_overflow_is_one_config_error(self, tmp_path, capsys):
+        # U(0, x) ~ e^(3000 x) leaves double precision: no overflow warnings
+        # from the prefix scan or the determinant, one error naming the x
+        out = tmp_path / "big"
+        argv = ["kernel", "--set", "p_expr=3000", "--set", "q_expr=1", "--set", "M=100"]
+        code, _, err = run(argv + ["--set", "out=%s" % out], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "Warning" not in err
+        assert err.startswith("config error: det of the propagator U(0, x) drifts from 1 by ")
+        assert re.search(r"; U\(0, x\) is not finite at x = 0\.\d+\n\Z", err)
+
     def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
         # out names a path under a regular file; the cache under it cannot
         # be written either, which costs one note
@@ -495,6 +506,102 @@ class TestSolveCommand:
         code, _, err = run(["solve", "--config", cfg], capsys)
         assert code == 2
         assert "lambdas" in err
+
+
+def usable_cpus(monkeypatch, n):
+    """Make solve see n usable CPUs, and so run n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    # every worker was reaped: no child runs and no zombie waits
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="one process only"
+)
+class TestSolveWorkers:
+    OVERFLOW = "p_expr = 0.3\nq_expr = 1\nM = 200\nN = 8\nout = %s\n"
+
+    def test_files_do_not_depend_on_worker_count(self, tmp_path, capsys, monkeypatch):
+        lams = "--lambdas=-7.25,0,3,12.5,-40,3+1i,-2-0.5i,25+1i"
+        files = {}
+        for n in (1, 2, 3):
+            usable_cpus(monkeypatch, n)
+            out = tmp_path / ("w%d" % n) / "s"
+            cfg = write_config(
+                tmp_path, "p_expr = sin(pi*x)\nq_expr = x\nM = 300\nN = 10\nout = %s\n" % out
+            )
+            code, stdout, _ = run(["solve", "--config", cfg, lams, "--c=0.5,2-1i"], capsys)
+            assert code == 0
+            assert "solve: 8 lambda values in " in stdout
+            assert stdout.rstrip().endswith("on %d process%s" % (n, "es" * (n > 1)))
+            files[n] = {p.name: p.read_bytes() for p in out.parent.glob("s_solution_*.csv")}
+            assert_no_child_left()
+        assert sorted(files[1]) == ["s_solution_%03d.csv" % k for k in range(8)]
+        assert files[2] == files[1] and files[3] == files[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflow_outcome_does_not_depend_on_worker_count(
+        self, tmp_path, capsys, monkeypatch, n
+    ):
+        usable_cpus(monkeypatch, n)
+        cfg = write_config(tmp_path, self.OVERFLOW % (tmp_path / "o"))
+        code, _, err = run(["solve", "--config", cfg, "--lambdas=1,1+800i,2,3"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "overflows" in err and "(1+800j)" in err
+        assert [p.name for p in tmp_path.glob("o_solution_*")] == ["o_solution_000.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unwritable_output_names_the_first_file(self, tmp_path, capsys, monkeypatch, n):
+        usable_cpus(monkeypatch, n)
+        (tmp_path / "plain").write_text("a file\n")
+        out = tmp_path / "plain" / "u"
+        cfg = write_config(tmp_path, "p_expr = 0\nq_expr = 1\nM = 100\nN = 4\nout = %s\n" % out)
+        code, _, err = run(["solve", "--config", cfg, "--lambdas=1,2,3,4"], capsys)
+        assert code == 2
+        assert err.splitlines()[-1].startswith("config error: cannot write %s_solution_000.csv: " % out)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("lam, raises", [(1.0, ValueError), (4.0, RuntimeError)])
+    def test_other_failures_are_errors(self, tmp_path, capsys, monkeypatch, lam, raises):
+        # lambda = 1 is solved here, lambda = 4 in the second worker
+        usable_cpus(monkeypatch, 2)
+        solve_ivp = cli.solve_ivp
+
+        def broken(coeffs, value, c):
+            if value == lam:
+                raise ValueError("broken solver")
+            return solve_ivp(coeffs, value, c)
+
+        monkeypatch.setattr(cli, "solve_ivp", broken)
+        cfg = write_config(tmp_path, "p_expr = 0\nq_expr = 1\nM = 100\nN = 4\nout = %s\n" % (tmp_path / "e"))
+        with pytest.raises(raises, match="broken solver"):
+            main(["solve", "--config", cfg, "--lambdas=1,2,3,4"])
+        assert_no_child_left()
+
+    def test_piped_stdout_is_written_once(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("p_expr = 0\nq_expr = 1\nM = 100\nN = 4\nout = %s\n" % (tmp_path / "p"))
+        code = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+from diracnsbf.cli import main
+sys.exit(main(["solve", "--config", sys.argv[1], "--lambdas=1,2,3,4,5"]))
+"""
+        package_dir = os.path.dirname(os.path.abspath(diracnsbf.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg)], stdout=subprocess.PIPE, text=True, env=env
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.count("coefficients:") == 1
+        assert proc.stdout.count("solve:") == 1
+        assert "on 3 processes" in proc.stdout
 
 
 class TestCoefficientCache:
@@ -978,6 +1085,19 @@ class TestValidateCommand:
         failed = [name for name, c in checks.items() if not c["passed"]]
         assert failed == ["fundamental_det_one", "fundamental_ode_residual"]
         assert 5e-9 < checks["fundamental_det_one"]["value"] < 2e-8
+
+    def test_propagator_overflow_fails_without_warnings(self, tmp_path, capsys):
+        import json
+
+        argv = ["validate", "--set", "p_expr=3000", "--set", "q_expr=1", "--set", "M=100"]
+        code, out, err = run(argv + ["--set", "out=%s" % (tmp_path / "v")], capsys)
+        assert code == 1 and err == ""
+        assert "fundamental_solution       FAIL" in out
+        code, out, err = run(argv + ["--set", "out=%s" % (tmp_path / "v"), "--json"], capsys)
+        assert code == 1 and err == ""
+        last = json.loads(out)["checks"][-1]
+        assert last["name"] == "fundamental_solution" and not last["passed"]
+        assert "; U(0, x) is not finite at x = " in last["error"]
 
 
 class TestZsIngestion:
